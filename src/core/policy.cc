@@ -1,5 +1,6 @@
 #include "core/policy.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace agsc::core {
@@ -25,6 +26,10 @@ GaussianActor::GaussianActor(int obs_dim, int action_dim,
           nn::Tensor(1, action_dim, config.log_std_init))) {}
 
 nn::DiagGaussian GaussianActor::Dist(const nn::Tensor& obs_batch) const {
+  return nn::DiagGaussian(mean_net_.Forward(obs_batch), log_std_);
+}
+
+nn::DiagGaussian GaussianActor::Dist(const nn::Variable& obs_batch) const {
   return nn::DiagGaussian(mean_net_.Forward(obs_batch), log_std_);
 }
 
@@ -57,19 +62,27 @@ nn::Variable ValueNet::Forward(const nn::Tensor& batch) const {
   return net_.Forward(batch);
 }
 
+nn::Variable ValueNet::Forward(const nn::Variable& batch) const {
+  return net_.Forward(batch);
+}
+
 std::vector<float> ValueNet::Values(
     const std::vector<std::vector<float>>& rows) const {
-  if (rows.empty()) return {};
-  nn::Tensor batch(static_cast<int>(rows.size()),
-                   static_cast<int>(rows[0].size()));
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (size_t c = 0; c < rows[r].size(); ++c) {
-      batch(static_cast<int>(r), static_cast<int>(c)) = rows[r][c];
+  // Rows are independent through Infer, so chunking bounds the transient
+  // input and activation buffers without changing a single result bit.
+  constexpr size_t kChunkRows = 128;
+  std::vector<float> out(rows.size());
+  for (size_t r0 = 0; r0 < rows.size(); r0 += kChunkRows) {
+    const size_t n = std::min(kChunkRows, rows.size() - r0);
+    const int dim = static_cast<int>(rows[r0].size());
+    nn::Tensor batch(static_cast<int>(n), dim);
+    for (size_t r = 0; r < n; ++r) {
+      std::copy(rows[r0 + r].begin(), rows[r0 + r].end(),
+                batch.data() + r * static_cast<size_t>(dim));
     }
+    const nn::Tensor values = net_.Infer(batch);
+    for (size_t r = 0; r < n; ++r) out[r0 + r] = values[static_cast<int>(r)];
   }
-  const nn::Tensor values = net_.Forward(batch).value();
-  std::vector<float> out(values.rows());
-  for (int r = 0; r < values.rows(); ++r) out[r] = values(r, 0);
   return out;
 }
 

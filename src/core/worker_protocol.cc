@@ -28,9 +28,24 @@ void PutActions(WireWriter& w, const WorkerActions& actions) {
   }
 }
 
+/// Reads a peer-sent entry count. Rejects it above `limit`, or when the
+/// unread payload cannot hold `min_entry_bytes` per entry, so a short frame
+/// can never make the decoder size a container for entries it never sent.
+bool GetCount(WireReader& r, uint32_t limit, size_t min_entry_bytes,
+              uint32_t& n) {
+  n = r.U32();
+  return r.ok() && n <= limit && n <= r.remaining() / min_entry_bytes;
+}
+
+// Smallest encodings: an action is two f32s, a WorkerActions is its u32
+// count, and an F32Vec/I32Vec is its u64 length.
+constexpr size_t kActionBytes = 2 * sizeof(float);
+constexpr size_t kMinActionsBytes = sizeof(uint32_t);
+constexpr size_t kMinVecBytes = sizeof(uint64_t);
+
 bool GetActions(WireReader& r, WorkerActions& actions) {
-  const uint32_t n = r.U32();
-  if (!r.ok() || n > 1u << 16) return false;
+  uint32_t n = 0;
+  if (!GetCount(r, 1u << 16, kActionBytes, n)) return false;
   actions.per_agent.resize(n);
   for (std::array<float, 2>& a : actions.per_agent) {
     a[0] = r.F32();
@@ -197,8 +212,8 @@ bool DecodeEpisodePrefix(const std::string& payload, EpisodePrefix& out) {
   WireReader r(payload);
   out.flags = r.U32();
   if (!GetRngState(r, out.rng_state)) return false;
-  const uint32_t steps = r.U32();
-  if (!r.ok() || steps > 1u << 20) return false;
+  uint32_t steps = 0;
+  if (!GetCount(r, 1u << 20, kMinActionsBytes, steps)) return false;
   out.replay.resize(steps);
   for (WorkerActions& actions : out.replay) {
     if (!GetActions(r, actions)) return false;
@@ -247,22 +262,22 @@ bool DecodeWorkerStepResult(const std::string& payload,
   if (!r.ok() || kind > 1) return false;
   out.is_reset = kind == 0;
   out.done = r.U32() != 0;
-  const uint32_t agents = r.U32();
-  if (!r.ok() || agents > 1u << 16) return false;
+  uint32_t agents = 0;
+  if (!GetCount(r, 1u << 16, kMinVecBytes, agents)) return false;
   out.observations.resize(agents);
   for (std::vector<float>& obs : out.observations) {
     if (!r.F32Vec(obs)) return false;
   }
   if (!r.F32Vec(out.state)) return false;
   if (!r.F64Vec(out.rewards)) return false;
-  const uint32_t he = r.U32();
-  if (!r.ok() || he > 1u << 16) return false;
+  uint32_t he = 0;
+  if (!GetCount(r, 1u << 16, kMinVecBytes, he)) return false;
   out.he_neighbors.resize(he);
   for (std::vector<int32_t>& n : out.he_neighbors) {
     if (!r.I32Vec(n)) return false;
   }
-  const uint32_t ho = r.U32();
-  if (!r.ok() || ho > 1u << 16) return false;
+  uint32_t ho = 0;
+  if (!GetCount(r, 1u << 16, kMinVecBytes, ho)) return false;
   out.ho_neighbors.resize(ho);
   for (std::vector<int32_t>& n : out.ho_neighbors) {
     if (!r.I32Vec(n)) return false;

@@ -44,26 +44,51 @@ void Adam::EnsureState() {
   }
 }
 
-void Adam::Step() {
+void Adam::Step() { StepImpl(/*guarded=*/false); }
+
+bool Adam::GuardedStep() { return StepImpl(/*guarded=*/true); }
+
+bool Adam::StepImpl(bool guarded) {
   EnsureState();
   ++step_count_;
   const float bc1 =
       1.0f - std::pow(beta1_, static_cast<float>(step_count_));
   const float bc2 =
       1.0f - std::pow(beta2_, static_cast<float>(step_count_));
+  // One element's update. Both passes run this expression, so the dry run
+  // sees exactly the values the commit pass writes.
+  auto update = [&](float g, float& m, float& v, float& value) {
+    m = beta1_ * m + (1.0f - beta1_) * g;
+    v = beta2_ * v + (1.0f - beta2_) * g * g;
+    const float mhat = m / bc1;
+    const float vhat = v / bc2;
+    value -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+  };
+  bool commit = true;
+  for (size_t k = 0; guarded && commit && k < params_.size(); ++k) {
+    const Tensor& value = params_[k].value();
+    const Tensor& g = params_[k].grad();
+    for (int i = 0; i < value.size(); ++i) {
+      float m = m_[k][i], v = v_[k][i], p = value[i];
+      update(g[i], m, v, p);
+      if (!std::isfinite(p)) {
+        commit = false;
+        break;
+      }
+    }
+  }
   for (size_t k = 0; k < params_.size(); ++k) {
     Tensor& value = params_[k].mutable_value();
     const Tensor& g = params_[k].grad();
     Tensor& m = m_[k];
     Tensor& v = v_[k];
     for (int i = 0; i < value.size(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      value[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      float p = value[i];
+      update(g[i], m[i], v[i], p);
+      if (commit) value[i] = p;
     }
   }
+  return commit;
 }
 
 Adam::State Adam::ExportState() {

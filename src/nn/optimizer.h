@@ -57,6 +57,13 @@ class Adam : public Optimizer {
        float beta2 = 0.999f, float eps = 1e-8f);
   void Step() override;
 
+  /// Step that commits no parameter when any updated value would be
+  /// non-finite; the moments and step count advance either way. Same bits
+  /// as Step() followed by restoring the parameters from a snapshot taken
+  /// before it, without holding the snapshot. Returns false if nothing
+  /// was committed.
+  bool GuardedStep();
+
   float lr() const { return lr_; }
   void set_lr(float lr) { lr_ = lr; }
   long step_count() const { return step_count_; }
@@ -72,6 +79,7 @@ class Adam : public Optimizer {
 
  private:
   void EnsureState();
+  bool StepImpl(bool guarded);
 
   float lr_, beta1_, beta2_, eps_;
   long step_count_ = 0;

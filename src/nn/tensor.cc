@@ -149,9 +149,17 @@ Tensor::Tensor(Tensor&& other) noexcept
 }
 
 Tensor& Tensor::operator=(const Tensor& other) {
-  if (this != &other) {
+  if (this == &other) return *this;
+  if (data_.size() != other.data_.size()) {
     Tensor tmp(other);
-    *this = std::move(tmp);
+    return *this = std::move(tmp);
+  }
+  // Same element count: copy in place, no pool round trip.
+  rows_ = other.rows_;
+  cols_ = other.cols_;
+  if (!data_.empty()) {
+    std::memcpy(data_.data(), other.data_.data(),
+                data_.size() * sizeof(float));
   }
   return *this;
 }

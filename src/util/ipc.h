@@ -183,6 +183,9 @@ class WireReader {
 
   /// True iff every read so far stayed in bounds.
   bool ok() const { return ok_; }
+  /// Unread payload bytes (0 after a failed read). Decoders bound peer-sent
+  /// entry counts by this before sizing any container.
+  size_t remaining() const { return ok_ ? bytes_.size() - pos_ : 0; }
   /// True iff ok() and the whole payload was consumed (no trailing bytes —
   /// a length/content mismatch the CRC cannot see).
   bool Done() const { return ok_ && pos_ == bytes_.size(); }

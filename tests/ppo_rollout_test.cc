@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/policy.h"
 #include "core/ppo.h"
 #include "core/rollout.h"
 #include "util/rng.h"
@@ -199,6 +200,27 @@ TEST(RolloutTest, MultiAgentBufferStateBatches) {
   EXPECT_EQ(sn(0, 1), 6.0f);
   buffer.Clear();
   EXPECT_EQ(buffer.size(), 0u);
+}
+
+TEST(ValueNetTest, ValuesEqualGraphForwardBitForBit) {
+  // Values runs Mlp::Infer (no autograd graph); it must reproduce the
+  // differentiable forward exactly, since advantages are built from it.
+  util::Rng rng(5);
+  NetConfig config;
+  config.hidden = {16, 8};
+  const ValueNet net(7, config, rng);
+  std::vector<std::vector<float>> rows(5, std::vector<float>(7));
+  for (auto& row : rows) {
+    for (float& x : row) x = static_cast<float>(rng.Uniform(-2.0, 2.0));
+  }
+  const std::vector<float> values = net.Values(rows);
+  const nn::Tensor forward =
+      net.Forward(PackBatch(rows, AllIndices(rows.size())))
+          .value();
+  ASSERT_EQ(values.size(), rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(values[r], forward(static_cast<int>(r), 0)) << "row " << r;
+  }
 }
 
 }  // namespace

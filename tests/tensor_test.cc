@@ -204,5 +204,28 @@ TEST(TensorTest, CopyAndMoveSemantics) {
   EXPECT_EQ(self(0, 1), 6.0f);
 }
 
+TEST(TensorTest, EqualSizeCopyAssignReusesStorage) {
+  // Same element count (even with a different shape): the copy lands in
+  // the existing buffer, with no pool acquire or release.
+  const Tensor src = Tensor::FromRowMajor(2, 3, {1, 2, 3, 4, 5, 6});
+  Tensor same(2, 3, 9.0f);
+  Tensor reshaped(3, 2, 9.0f);
+  const float* same_data = same.data();
+  const internal::BufferPoolStats before = internal::GetBufferPoolStats();
+  same = src;
+  reshaped = src;
+  const internal::BufferPoolStats after = internal::GetBufferPoolStats();
+  EXPECT_EQ(after.acquires, before.acquires);
+  EXPECT_EQ(same.data(), same_data);
+  EXPECT_TRUE(same.SameAs(src));
+  EXPECT_TRUE(reshaped.SameAs(src));  // Shape follows the source.
+
+  Tensor smaller(1, 1);
+  const long long acquires = internal::GetBufferPoolStats().acquires;
+  smaller = src;  // Different size: falls back to a fresh buffer.
+  EXPECT_TRUE(smaller.SameAs(src));
+  EXPECT_EQ(internal::GetBufferPoolStats().acquires, acquires + 1);
+}
+
 }  // namespace
 }  // namespace agsc::nn

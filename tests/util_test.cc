@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/worker_protocol.h"
 #include "util/csv.h"
 #include "util/env_flags.h"
 #include "util/ipc.h"
@@ -412,6 +413,60 @@ TEST(FrameReaderEdgeTest, MaxSizePayloadAtTheCapRoundTrips) {
   EXPECT_EQ(frame.type, 9u);
   EXPECT_EQ(frame.payload, payload);  // CRC already proved it; belt+braces.
   EXPECT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kEof);
+}
+
+/// Sends `payload` through a real frame, so it reaches the decoder exactly
+/// as a peer's CRC-valid message would.
+std::string ThroughFrame(const std::string& payload) {
+  Pipe p;
+  FrameWriter writer(p.fds[1]);
+  EXPECT_EQ(writer.Write(/*type=*/1, /*seq=*/0, payload), IpcStatus::kOk);
+  FrameReader reader(p.fds[0]);
+  Frame frame;
+  EXPECT_EQ(reader.Read(frame, /*timeout_ms=*/1000), IpcStatus::kOk);
+  return frame.payload;
+}
+
+TEST(WorkerProtocolBoundsTest, CountsBeyondThePayloadAreRejectedUnsized) {
+  // Each message claims far more entries than its bytes could encode; the
+  // decoder must reject it from the count alone, before sizing anything
+  // (the old decoder resized first: ~24 MB for 2^20 replay steps).
+  WireWriter prefix;
+  prefix.U32(/*flags=*/0);
+  for (size_t i = 0; i < Rng::kStateWords; ++i) prefix.U64(i);
+  prefix.U32(1u << 20);                       // 2^20 steps claimed...
+  for (int i = 0; i < 4; ++i) prefix.U32(0);  // ...in 16 bytes of steps.
+  const std::string bytes = prefix.Take();
+  ASSERT_EQ(bytes.size(), 4 + 8 * Rng::kStateWords + 4 + 16);
+  core::EpisodePrefix ep;
+  EXPECT_FALSE(core::DecodeEpisodePrefix(ThroughFrame(bytes), ep));
+  EXPECT_EQ(ep.replay.capacity(), 0u);
+
+  WireWriter actions;  // 2^16 actions claimed in a 16-byte payload.
+  actions.U32(1u << 16);
+  actions.F32(0.0f);
+  actions.F32(0.0f);
+  actions.F32(0.0f);
+  core::WorkerActions wa;
+  EXPECT_FALSE(core::DecodeWorkerActions(ThroughFrame(actions.Take()), wa));
+  EXPECT_EQ(wa.per_agent.capacity(), 0u);
+
+  WireWriter step;  // 2^16 observation rows claimed, none sent.
+  step.U32(/*kind=*/1);
+  step.U32(/*done=*/0);
+  step.U32(1u << 16);
+  step.U64(0);
+  core::WorkerStepResult result;
+  EXPECT_FALSE(core::DecodeWorkerStepResult(ThroughFrame(step.Take()), result));
+  EXPECT_EQ(result.observations.capacity(), 0u);
+
+  // A count the payload does cover still decodes.
+  core::WorkerActions ok_in;
+  ok_in.per_agent = {{0.5f, -0.5f}, {1.0f, 2.0f}};
+  core::WorkerActions ok_out;
+  ASSERT_TRUE(core::DecodeWorkerActions(
+      ThroughFrame(core::EncodeWorkerActions(ok_in)), ok_out));
+  EXPECT_EQ(ok_out.per_agent, ok_in.per_agent);
 }
 
 TEST(FrameReaderEdgeTest, LengthPastTheCapIsCorruptBeforeAllocating) {
