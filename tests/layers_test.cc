@@ -1,4 +1,7 @@
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -165,6 +168,45 @@ TEST(OptimizerTest, AdamMinimizesShiftedQuadratic) {
   }
   EXPECT_NEAR(x.value()[0], 1.0f, 1e-2);
   EXPECT_NEAR(x.value()[1], 2.0f, 1e-2);
+}
+
+/// Bitwise equality, so NaN moments compare equal to themselves.
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(OptimizerTest, GuardedStepMatchesStepThenRestore) {
+  // GuardedStep must be exactly Step() followed by restoring the
+  // parameters when any of them went non-finite, and exactly Step()
+  // otherwise, with moments and step count advanced in both cases.
+  for (const float bad_grad : {0.25f, std::numeric_limits<float>::infinity()}) {
+    const Tensor init = Tensor::FromRowMajor(1, 3, {1.0f, -2.0f, 0.5f});
+    Variable guarded = Variable::Parameter(init);
+    Variable plain = Variable::Parameter(init);
+    Adam guarded_opt({guarded}, 0.1f);
+    Adam plain_opt({plain}, 0.1f);
+    for (int step = 0; step < 3; ++step) {
+      const float g2 = step == 2 ? bad_grad : 0.25f;
+      for (Variable* v : {&guarded, &plain}) {
+        v->grad() = Tensor::FromRowMajor(1, 3, {0.5f, -1.0f, g2});
+      }
+      const Tensor before = plain.value();
+      plain_opt.Step();
+      bool finite = true;
+      for (int i = 0; i < plain.value().size(); ++i) {
+        finite = finite && std::isfinite(plain.value()[i]);
+      }
+      if (!finite) plain.mutable_value() = before;
+      EXPECT_EQ(guarded_opt.GuardedStep(), finite) << "step " << step;
+      EXPECT_TRUE(SameBits(guarded.value(), plain.value())) << "step " << step;
+    }
+    const Adam::State a = guarded_opt.ExportState();
+    const Adam::State b = plain_opt.ExportState();
+    EXPECT_EQ(a.step_count, b.step_count);
+    EXPECT_TRUE(SameBits(a.m[0], b.m[0]));
+    EXPECT_TRUE(SameBits(a.v[0], b.v[0]));
+  }
 }
 
 TEST(OptimizerTest, ClipGradNormScalesDown) {
