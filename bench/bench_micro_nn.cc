@@ -138,6 +138,47 @@ void BM_MatMulTraining(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTraining)->Arg(0)->Arg(1)->Arg(2);
 
+void BM_MatMulAct(benchmark::State& state) {
+  // Rollout acting: the actor's input layer on one observation (m = 1) or on
+  // a lock-step batch of workers (m = 4), below a full 8-row tile.
+  const int m = static_cast<int>(state.range(0));
+  const int mode = static_cast<int>(state.range(1));
+  KernelModeGuard guard(mode);
+  state.SetLabel(KernelModeName(mode));
+  util::Rng rng(5);
+  nn::Tensor a = nn::Tensor::Randn(m, 312, rng);
+  nn::Tensor b = nn::Tensor::Randn(312, 128, rng);
+  if (!SelfCheck(state, nn::MatMul(a, b), nn::internal::NaiveMatMul(a, b))) {
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::MatMul(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * 312 * 128);
+}
+BENCHMARK(BM_MatMulAct)->ArgsProduct({{1, 4}, {0, 1, 2}});
+
+void BM_MatMulTransposedBTraining(benchmark::State& state) {
+  // Backward dX = dY W^T of the 128 -> 64 hidden layer at a full (256) and
+  // a partial (144) minibatch: [m, 64] x [128, 64]^T.
+  const int m = static_cast<int>(state.range(0));
+  const int mode = static_cast<int>(state.range(1));
+  KernelModeGuard guard(mode);
+  state.SetLabel(KernelModeName(mode));
+  util::Rng rng(6);
+  nn::Tensor dy = nn::Tensor::Randn(m, 64, rng);
+  nn::Tensor w = nn::Tensor::Randn(128, 64, rng);
+  if (!SelfCheck(state, nn::MatMulTransposedB(dy, w),
+                 nn::internal::NaiveMatMulTransposedB(dy, w))) {
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::MatMulTransposedB(dy, w));
+  }
+  state.SetItemsProcessed(state.iterations() * 2LL * m * 64 * 128);
+}
+BENCHMARK(BM_MatMulTransposedBTraining)->ArgsProduct({{256, 144}, {0, 1, 2}});
+
 void BM_MlpForward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   util::Rng rng(2);

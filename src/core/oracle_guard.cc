@@ -45,11 +45,15 @@ void RandomActions(util::Rng& rng, std::vector<env::UvAction>& actions) {
 OracleCheckResult NnKernelSelfCheck() {
   if (nn::GetKernelConfig().gemm == nn::GemmKernel::kNaive) return {};
   // Fixed shapes spanning the interesting kernel regimes: tiny (below any
-  // blocking threshold), tall-skinny, and a block-sized square.
+  // blocking threshold), tall-skinny, a block-sized square, a short wide
+  // product that reaches MatMul's 1x64 row tile and TransposedB's 1-row
+  // panel path, and one whose TransposedB runs a full 8x8 packed tile next
+  // to a remainder row and an edge column.
   struct Shape {
     int m, k, n;
   };
-  constexpr std::array<Shape, 3> kShapes = {{{7, 13, 5}, {1, 96, 33}, {64, 64, 64}}};
+  constexpr std::array<Shape, 5> kShapes = {
+      {{7, 13, 5}, {1, 96, 33}, {64, 64, 64}, {3, 40, 65}, {9, 31, 17}}};
   util::Rng rng(0x0AC1E5EEDULL);
   for (const Shape& s : kShapes) {
     const nn::Tensor a = nn::Tensor::Randn(s.m, s.k, rng);

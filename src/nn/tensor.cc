@@ -3,17 +3,23 @@
 // This translation unit must be compiled with floating-point contraction
 // disabled (-ffp-contract=off, set in src/nn/CMakeLists.txt): the blocked
 // kernels are bit-exact against the naive references only if the compiler
-// never fuses their mul+add chains into FMAs. The avx512 tile additionally
-// pins fp-contract=off at function level because its target attribute
-// enables FMA hardware.
+// never fuses their mul+add chains into FMAs. The avx512 float tiles
+// additionally pin fp-contract=off at function level because their target
+// attribute enables FMA hardware. The only FMAs are the explicit intrinsics
+// of the TransposedB double tiles, which are exact (see the GEMM contract).
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "util/thread_pool.h"
 
@@ -311,6 +317,27 @@ std::string Tensor::ShapeString() const {
 // result bits are identical for every (kernel, tile, thread-count) choice.
 // MatMul / MatMulTransposedA accumulate in float; MatMulTransposedB
 // accumulates each dot product in double, exactly as the naive reference.
+//
+// Blocked tiles (per ISA tier: generic, avx2, avx512):
+//  - MatMul: 8x32 register tiles; rows below a full 8-row tile (m = 1
+//    acting, the m % 8 remainder) take a 1x64 row tile that streams
+//    contiguous B rows. Only the last n % 32 (or n % 64) columns run the
+//    scalar edge.
+//  - MatMulTransposedA: 8x32 tiles plus the scalar edge.
+//  - MatMulTransposedB: B is packed once per call into k x 8 panels (panel
+//    q holds B rows 8q..8q+7, p-major), which all row chunks then share
+//    read-only. Tiles hold 8 A rows x 8 columns of double accumulators;
+//    remainder rows use a 1x8 tile over the same panel and the last n % 8
+//    columns run a scalar edge.
+//
+// FMA. The float chains must never be contracted: fma(a, b, s) rounds once
+// where s + a*b rounds twice. The avx2/avx512 TransposedB tiles are the one
+// exception, and it is exact: a and b are binary32, so their product has at
+// most 48 significand bits and an exponent in [-298, 256] — it is exactly
+// representable in binary64, i.e. double(a)*double(b) never rounds. Hence
+// fma(a, b, s) = round(s + a*b) = s + (a*b) computed as mul-then-add, bit
+// for bit (signed zeros included: both round the same exact sum; NaN and
+// inf operands give NaN and inf either way).
 // ---------------------------------------------------------------------------
 
 namespace internal {
@@ -381,62 +408,90 @@ Tensor NaiveMatMulTransposedA(const Tensor& a, const Tensor& b) {
 
 namespace {
 
+// Ordered by capability: a host that runs a tier runs every lower one.
 enum class IsaLevel { kGeneric, kAvx2, kAvx512 };
+
+constexpr const char* kIsaNames[] = {"generic", "avx2", "avx512"};
 
 IsaLevel DetectIsa() {
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx512f")) return IsaLevel::kAvx512;
-  if (__builtin_cpu_supports("avx2")) return IsaLevel::kAvx2;
+  // The avx2 TransposedB tiles use FMA (exact there; see the contract).
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    return IsaLevel::kAvx2;
+  }
 #endif
   return IsaLevel::kGeneric;
 }
 
-IsaLevel Isa() {
+IsaLevel HostIsa() {
   static const IsaLevel level = DetectIsa();
   return level;
 }
 
+// Tier forced by SetGemmIsaForTesting; -1 selects the host's own.
+std::atomic<int> g_isa_override{-1};
+
+IsaLevel Isa() {
+  const int forced = g_isa_override.load(std::memory_order_relaxed);
+  return forced < 0 ? HostIsa() : static_cast<IsaLevel>(forced);
+}
+
 }  // namespace
 
-const char* ActiveGemmIsaName() {
-  switch (Isa()) {
-    case IsaLevel::kAvx512: return "avx512";
-    case IsaLevel::kAvx2: return "avx2";
-    case IsaLevel::kGeneric: return "generic";
+const char* ActiveGemmIsaName() { return kIsaNames[static_cast<int>(Isa())]; }
+
+namespace internal {
+
+bool SetGemmIsaForTesting(const char* name) {
+  if (name == nullptr || *name == '\0') {
+    g_isa_override.store(-1, std::memory_order_relaxed);
+    return true;
   }
-  return "generic";
+  for (int level = 0; level <= static_cast<int>(HostIsa()); ++level) {
+    if (std::strcmp(name, kIsaNames[level]) == 0) {
+      g_isa_override.store(level, std::memory_order_relaxed);
+      return true;
+    }
+  }
+  return false;
 }
+
+}  // namespace internal
 
 namespace {
 
 // --- MatMul family: C[i][j] = sum_p A[i][p]*B[p][j], A is m x k row-major --
 
-constexpr int kMmMr = 8;   // rows per register tile
-constexpr int kMmNr = 32;  // cols per register tile
+constexpr int kMmMr = 8;      // rows per register tile
+constexpr int kMmNr = 32;     // cols per register tile
+constexpr int kMmRowNr = 64;  // cols per single-row tile
 
-// Full 8x32 register tile, all of k. Each acc[ii][jj] is the complete
+// Full MR x NR register tile, all of k. Each acc[ii][jj] is the complete
 // ascending-p chain for one output element.
 #define AGSC_MM_TILE_BODY                                                 \
-  float acc[kMmMr][kMmNr] = {};                                           \
+  float acc[MR][NR] = {};                                                 \
   for (int p = 0; p < k; ++p) {                                           \
     const float* brow = b + static_cast<std::size_t>(p) * n + j0;         \
     const float* acol = a + static_cast<std::size_t>(i0) * k + p;         \
-    for (int ii = 0; ii < kMmMr; ++ii) {                                  \
+    for (int ii = 0; ii < MR; ++ii) {                                     \
       const float av = acol[static_cast<std::size_t>(ii) * k];            \
-      for (int jj = 0; jj < kMmNr; ++jj) acc[ii][jj] += av * brow[jj];    \
+      for (int jj = 0; jj < NR; ++jj) acc[ii][jj] += av * brow[jj];       \
     }                                                                     \
   }                                                                       \
-  for (int ii = 0; ii < kMmMr; ++ii) {                                    \
+  for (int ii = 0; ii < MR; ++ii) {                                       \
     float* crow = c + static_cast<std::size_t>(i0 + ii) * n + j0;         \
-    for (int jj = 0; jj < kMmNr; ++jj) crow[jj] = acc[ii][jj];            \
+    for (int jj = 0; jj < NR; ++jj) crow[jj] = acc[ii][jj];               \
   }
 
+template <int MR, int NR>
 void MmTileGeneric(const float* a, const float* b, float* c, int k, int n,
                    int i0, int j0) {
   AGSC_MM_TILE_BODY
 }
 
 #if defined(__x86_64__) || defined(__i386__)
+template <int MR, int NR>
 __attribute__((target("avx2"))) void MmTileAvx2(const float* a,
                                                 const float* b, float* c,
                                                 int k, int n, int i0,
@@ -446,6 +501,7 @@ __attribute__((target("avx2"))) void MmTileAvx2(const float* a,
 
 // avx512f implies FMA hardware; fp-contract must stay off or gcc fuses the
 // mul+add into an FMA and the tile stops being bit-exact vs the reference.
+template <int MR, int NR>
 __attribute__((target("avx512f"), optimize("fp-contract=off"))) void
 MmTileAvx512(const float* a, const float* b, float* c, int k, int n, int i0,
              int j0) {
@@ -469,25 +525,6 @@ void MmEdge(const float* a, const float* b, float* c, int k, int n, int i0,
       crow[j] = s;
     }
   }
-}
-
-void MmRange(const float* a, const float* b, float* c, int k, int n, int r0,
-             int r1) {
-  auto* tile = MmTileGeneric;
-#if defined(__x86_64__) || defined(__i386__)
-  if (Isa() == IsaLevel::kAvx512) {
-    tile = MmTileAvx512;
-  } else if (Isa() == IsaLevel::kAvx2) {
-    tile = MmTileAvx2;
-  }
-#endif
-  int i0 = r0;
-  for (; i0 + kMmMr <= r1; i0 += kMmMr) {
-    int j0 = 0;
-    for (; j0 + kMmNr <= n; j0 += kMmNr) tile(a, b, c, k, n, i0, j0);
-    if (j0 < n) MmEdge(a, b, c, k, n, i0, i0 + kMmMr, j0, n);
-  }
-  if (i0 < r1) MmEdge(a, b, c, k, n, i0, r1, 0, n);
 }
 
 // --- TransposedA family: C[i][j] = sum_p A[p][i]*B[p][j], A is k x m ------
@@ -544,86 +581,204 @@ void MtaEdge(const float* a, const float* b, float* c, int k, int m, int n,
   }
 }
 
-void MtaRange(const float* a, const float* b, float* c, int k, int m, int n,
-              int r0, int r1) {
-  auto* tile = MtaTileGeneric;
+// --- TransposedB family: C[i][j] = dot(A row i, B row j) in double --------
+
+constexpr int kTbMr = 8;  // A rows per register tile
+constexpr int kTbNr = 8;  // B rows (C columns) per packed panel
+
+// Copies the full 8-row panels of B (n x k) into `packed`: panel q holds
+// B[8q + jj][p] at packed[(q * k + p) * kTbNr + jj].
+void PackTbPanels(const float* b, int k, int panels, float* packed) {
+  for (int q = 0; q < panels; ++q) {
+    float* panel = packed + static_cast<std::size_t>(q) * k * kTbNr;
+    for (int jj = 0; jj < kTbNr; ++jj) {
+      const float* brow = b + static_cast<std::size_t>(q * kTbNr + jj) * k;
+      for (int p = 0; p < k; ++p) panel[p * kTbNr + jj] = brow[p];
+    }
+  }
+}
+
+// MR A rows x one packed panel; acc[ii][jj] is the whole ascending-p double
+// chain of C[i0 + ii][j0 + jj]. Baseline x86-64 has 16 xmm registers, so
+// the accumulators of two rows (8 xmm) are the most that stay in registers:
+// wider tiles run as 2-row passes over the panel.
+template <int MR>
+void TbTileGeneric(const float* a, const float* panel, float* c, int k,
+                   int n, int i0, int j0) {
+  if constexpr (MR > 2) {
+    TbTileGeneric<2>(a, panel, c, k, n, i0, j0);
+    TbTileGeneric<MR - 2>(a, panel, c, k, n, i0 + 2, j0);
+    return;
+  }
+  double acc[MR][kTbNr] = {};
+  for (int p = 0; p < k; ++p) {
+    const float* bp = panel + static_cast<std::size_t>(p) * kTbNr;
+    for (int ii = 0; ii < MR; ++ii) {
+      const double av = a[static_cast<std::size_t>(i0 + ii) * k + p];
+      for (int jj = 0; jj < kTbNr; ++jj) acc[ii][jj] += av * bp[jj];
+    }
+  }
+  for (int ii = 0; ii < MR; ++ii) {
+    float* crow = c + static_cast<std::size_t>(i0 + ii) * n + j0;
+    for (int jj = 0; jj < kTbNr; ++jj) {
+      crow[jj] = static_cast<float>(acc[ii][jj]);
+    }
+  }
+}
+
 #if defined(__x86_64__) || defined(__i386__)
-  if (Isa() == IsaLevel::kAvx512) {
-    tile = MtaTileAvx512;
-  } else if (Isa() == IsaLevel::kAvx2) {
-    tile = MtaTileAvx2;
+// Two 4-double halves per row: four rows fill 8 of the 16 ymm registers, so
+// a full 8-row tile runs as two 4-row passes over the panel.
+template <int MR>
+__attribute__((target("avx2,fma"))) void TbTileAvx2(const float* a,
+                                                    const float* panel,
+                                                    float* c, int k, int n,
+                                                    int i0, int j0) {
+  if constexpr (MR > 4) {
+    TbTileAvx2<4>(a, panel, c, k, n, i0, j0);
+    TbTileAvx2<MR - 4>(a, panel, c, k, n, i0 + 4, j0);
+    return;
+  }
+  __m256d lo[MR], hi[MR];
+  for (int ii = 0; ii < MR; ++ii) lo[ii] = hi[ii] = _mm256_setzero_pd();
+  const float* arow = a + static_cast<std::size_t>(i0) * k;
+  for (int p = 0; p < k; ++p) {
+    const float* bp = panel + static_cast<std::size_t>(p) * kTbNr;
+    const __m256d blo = _mm256_cvtps_pd(_mm_loadu_ps(bp));
+    const __m256d bhi = _mm256_cvtps_pd(_mm_loadu_ps(bp + 4));
+    for (int ii = 0; ii < MR; ++ii) {
+      const __m256d av =
+          _mm256_set1_pd(arow[static_cast<std::size_t>(ii) * k + p]);
+      lo[ii] = _mm256_fmadd_pd(av, blo, lo[ii]);
+      hi[ii] = _mm256_fmadd_pd(av, bhi, hi[ii]);
+    }
+  }
+  for (int ii = 0; ii < MR; ++ii) {
+    float* crow = c + static_cast<std::size_t>(i0 + ii) * n + j0;
+    _mm_storeu_ps(crow, _mm256_cvtpd_ps(lo[ii]));
+    _mm_storeu_ps(crow + 4, _mm256_cvtpd_ps(hi[ii]));
+  }
+}
+
+template <int MR>
+__attribute__((target("avx512f"))) void TbTileAvx512(const float* a,
+                                                     const float* panel,
+                                                     float* c, int k, int n,
+                                                     int i0, int j0) {
+  __m512d acc[MR];
+  for (int ii = 0; ii < MR; ++ii) acc[ii] = _mm512_setzero_pd();
+  const float* arow = a + static_cast<std::size_t>(i0) * k;
+  for (int p = 0; p < k; ++p) {
+    // The maskz forms (all lanes) avoid gcc 12's spurious -Wuninitialized
+    // on the plain conversions' undefined pass-through operand.
+    const __m512d bv = _mm512_maskz_cvtps_pd(
+        0xFF, _mm256_loadu_ps(panel + static_cast<std::size_t>(p) * kTbNr));
+    for (int ii = 0; ii < MR; ++ii) {
+      const __m512d av =
+          _mm512_set1_pd(arow[static_cast<std::size_t>(ii) * k + p]);
+      acc[ii] = _mm512_fmadd_pd(av, bv, acc[ii]);
+    }
+  }
+  for (int ii = 0; ii < MR; ++ii) {
+    _mm256_storeu_ps(c + static_cast<std::size_t>(i0 + ii) * n + j0,
+                     _mm512_maskz_cvtpd_ps(0xFF, acc[ii]));
+  }
+}
+#endif  // x86
+
+// --- Per-ISA kernel table ---------------------------------------------------
+
+using TileFn = void (*)(const float*, const float*, float*, int, int, int,
+                        int);
+using MtaTileFn = void (*)(const float*, const float*, float*, int, int, int,
+                           int, int);
+
+struct GemmKernels {
+  TileFn mm_tile;  // kMmMr x kMmNr
+  TileFn mm_row;   // 1 x kMmRowNr
+  MtaTileFn mta_tile;
+  TileFn tb_tile;  // kTbMr rows x one packed panel
+  TileFn tb_row;   // 1 row x one packed panel
+};
+
+const GemmKernels& Kernels() {
+  static constexpr GemmKernels kGeneric = {
+      MmTileGeneric<kMmMr, kMmNr>, MmTileGeneric<1, kMmRowNr>, MtaTileGeneric,
+      TbTileGeneric<kTbMr>, TbTileGeneric<1>};
+#if defined(__x86_64__) || defined(__i386__)
+  static constexpr GemmKernels kAvx2 = {
+      MmTileAvx2<kMmMr, kMmNr>, MmTileAvx2<1, kMmRowNr>, MtaTileAvx2,
+      TbTileAvx2<kTbMr>, TbTileAvx2<1>};
+  static constexpr GemmKernels kAvx512 = {
+      MmTileAvx512<kMmMr, kMmNr>, MmTileAvx512<1, kMmRowNr>, MtaTileAvx512,
+      TbTileAvx512<kTbMr>, TbTileAvx512<1>};
+  switch (Isa()) {
+    case IsaLevel::kAvx512: return kAvx512;
+    case IsaLevel::kAvx2: return kAvx2;
+    case IsaLevel::kGeneric: break;
   }
 #endif
+  return kGeneric;
+}
+
+// --- Row-range drivers ------------------------------------------------------
+
+void MmRange(const GemmKernels& kern, const float* a, const float* b,
+             float* c, int k, int n, int r0, int r1) {
   int i0 = r0;
   for (; i0 + kMmMr <= r1; i0 += kMmMr) {
     int j0 = 0;
-    for (; j0 + kMmNr <= n; j0 += kMmNr) tile(a, b, c, k, m, n, i0, j0);
+    for (; j0 + kMmNr <= n; j0 += kMmNr) kern.mm_tile(a, b, c, k, n, i0, j0);
+    if (j0 < n) MmEdge(a, b, c, k, n, i0, i0 + kMmMr, j0, n);
+  }
+  for (; i0 < r1; ++i0) {
+    int j0 = 0;
+    for (; j0 + kMmRowNr <= n; j0 += kMmRowNr) {
+      kern.mm_row(a, b, c, k, n, i0, j0);
+    }
+    if (j0 < n) MmEdge(a, b, c, k, n, i0, i0 + 1, j0, n);
+  }
+}
+
+void MtaRange(const GemmKernels& kern, const float* a, const float* b,
+              float* c, int k, int m, int n, int r0, int r1) {
+  int i0 = r0;
+  for (; i0 + kMmMr <= r1; i0 += kMmMr) {
+    int j0 = 0;
+    for (; j0 + kMmNr <= n; j0 += kMmNr) {
+      kern.mta_tile(a, b, c, k, m, n, i0, j0);
+    }
     if (j0 < n) MtaEdge(a, b, c, k, m, n, i0, i0 + kMmMr, j0, n);
   }
   if (i0 < r1) MtaEdge(a, b, c, k, m, n, i0, r1, 0, n);
 }
 
-// --- TransposedB family: C[i][j] = dot(A row i, B row j) in double --------
-
-constexpr int kTbNr = 8;  // independent double accumulator chains per tile
-
-#define AGSC_TB_TILE_BODY                                                 \
-  double acc[kTbNr] = {};                                                 \
-  const float* arow = a + static_cast<std::size_t>(i) * k;                \
-  for (int p = 0; p < k; ++p) {                                           \
-    const double av = static_cast<double>(arow[p]);                       \
-    for (int jj = 0; jj < kTbNr; ++jj) {                                  \
-      acc[jj] += av * b[static_cast<std::size_t>(j0 + jj) * k + p];       \
-    }                                                                     \
-  }                                                                       \
-  float* crow = c + static_cast<std::size_t>(i) * n + j0;                 \
-  for (int jj = 0; jj < kTbNr; ++jj) {                                    \
-    crow[jj] = static_cast<float>(acc[jj]);                               \
+// `packed` holds the n / kTbNr full panels of B; the last n % kTbNr columns
+// read B directly.
+void TbRange(const GemmKernels& kern, const float* a, const float* b,
+             const float* packed, float* c, int k, int n, int r0, int r1) {
+  const int panels = n / kTbNr;
+  const std::size_t panel_floats = static_cast<std::size_t>(k) * kTbNr;
+  int i0 = r0;
+  for (; i0 + kTbMr <= r1; i0 += kTbMr) {
+    for (int q = 0; q < panels; ++q) {
+      kern.tb_tile(a, packed + q * panel_floats, c, k, n, i0, q * kTbNr);
+    }
   }
-
-void TbTileGeneric(const float* a, const float* b, float* c, int k, int n,
-                   int i, int j0) {
-  AGSC_TB_TILE_BODY
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void TbTileAvx2(const float* a,
-                                                const float* b, float* c,
-                                                int k, int n, int i,
-                                                int j0) {
-  AGSC_TB_TILE_BODY
-}
-
-__attribute__((target("avx512f"), optimize("fp-contract=off"))) void
-TbTileAvx512(const float* a, const float* b, float* c, int k, int n, int i,
-             int j0) {
-  AGSC_TB_TILE_BODY
-}
-#endif  // x86
-
-#undef AGSC_TB_TILE_BODY
-
-void TbRange(const float* a, const float* b, float* c, int k, int n, int r0,
-             int r1) {
-  auto* tile = TbTileGeneric;
-#if defined(__x86_64__) || defined(__i386__)
-  if (Isa() == IsaLevel::kAvx512) {
-    tile = TbTileAvx512;
-  } else if (Isa() == IsaLevel::kAvx2) {
-    tile = TbTileAvx2;
+  for (; i0 < r1; ++i0) {
+    for (int q = 0; q < panels; ++q) {
+      kern.tb_row(a, packed + q * panel_floats, c, k, n, i0, q * kTbNr);
+    }
   }
-#endif
   for (int i = r0; i < r1; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * k;
-    int j0 = 0;
-    for (; j0 + kTbNr <= n; j0 += kTbNr) tile(a, b, c, k, n, i, j0);
-    for (; j0 < n; ++j0) {
-      const float* brow = b + static_cast<std::size_t>(j0) * k;
+    for (int j = panels * kTbNr; j < n; ++j) {
+      const float* brow = b + static_cast<std::size_t>(j) * k;
       double s = 0.0;
       for (int p = 0; p < k; ++p) {
         s += static_cast<double>(arow[p]) * brow[p];
       }
-      c[static_cast<std::size_t>(i) * n + j0] = static_cast<float>(s);
+      c[static_cast<std::size_t>(i) * n + j] = static_cast<float>(s);
     }
   }
 }
@@ -645,12 +800,14 @@ struct GemmPlan {
   GemmKernel gemm;
   long long min_flops;
   util::ThreadPool* pool;  // null when nn_threads == 0
+  const GemmKernels* kernels;
 };
 
 GemmPlan CurrentPlan() {
   KernelState& s = State();
   std::lock_guard<std::mutex> lock(s.mu);
-  return {s.config.gemm, s.config.parallel_min_flops, s.pool.get()};
+  return {s.config.gemm, s.config.parallel_min_flops, s.pool.get(),
+          &Kernels()};
 }
 
 // Runs run_range(r0, r1) over [0, m), split into at most pool->num_threads()
@@ -713,7 +870,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const float* bp = b.data();
   float* cp = c.data();
   RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    MmRange(ap, bp, cp, k, n, r0, r1);
+    MmRange(*plan.kernels, ap, bp, cp, k, n, r0, r1);
   });
   return c;
 }
@@ -733,8 +890,12 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   const float* ap = a.data();
   const float* bp = b.data();
   float* cp = c.data();
+  // Packed once here, then shared read-only by every row chunk.
+  Tensor packed(n / kTbNr, k * kTbNr);
+  PackTbPanels(bp, k, packed.rows(), packed.data());
+  const float* pp = packed.data();
   RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    TbRange(ap, bp, cp, k, n, r0, r1);
+    TbRange(*plan.kernels, ap, bp, pp, cp, k, n, r0, r1);
   });
   return c;
 }
@@ -755,7 +916,7 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   const float* bp = b.data();
   float* cp = c.data();
   RunRows(plan, 2LL * m * k * n, m, [&](int r0, int r1) {
-    MtaRange(ap, bp, cp, k, m, n, r0, r1);
+    MtaRange(*plan.kernels, ap, bp, cp, k, m, n, r0, r1);
   });
   return c;
 }

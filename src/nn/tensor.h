@@ -178,6 +178,13 @@ Tensor NaiveMatMul(const Tensor& a, const Tensor& b);
 Tensor NaiveMatMulTransposedB(const Tensor& a, const Tensor& b);
 Tensor NaiveMatMulTransposedA(const Tensor& a, const Tensor& b);
 
+/// Test seam: forces the blocked kernels onto the SIMD tier `name`
+/// ("generic", "avx2" or "avx512"); null or "" restores the host's own
+/// tier. Returns false, changing nothing, for a tier this CPU cannot run.
+/// Every tier gives the same bits; tests use this to prove it on one host.
+/// Must not be called concurrently with in-flight GEMMs.
+bool SetGemmIsaForTesting(const char* name);
+
 /// Per-thread buffer-pool counters (for this calling thread).
 struct BufferPoolStats {
   long long acquires = 0;    ///< Total AcquireBuffer calls.

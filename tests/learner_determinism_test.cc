@@ -3,7 +3,7 @@
 // 2 UAV + 2 UGV run, for every update path (h/i-MADRL, plain CoPO, no
 // CoPO, shared parameters, and the divergence guard under injected NaN
 // losses), and the invariance of both under the agent-parallel learner's
-// pool width and the GEMM thread count. Part of the ThreadSanitizer
+// pool width, the GEMM thread count and the GEMM SIMD tier. Part of the ThreadSanitizer
 // campaign (README, "Parallel rollout collection").
 //
 // Every other equivalence test compares a fast path with its oracle inside
@@ -198,16 +198,27 @@ constexpr Golden kGolden[] = {
 };
 
 TEST(GoldenDigestTest, CheckpointAndStatsMatchPinnedDigests) {
+  // On every GEMM SIMD tier this host runs: the tiers differ in register
+  // blocking and, in MatMulTransposedB's double chains, in using FMA, none
+  // of which may move a bit.
   const std::vector<Variant> variants = Variants();
   ASSERT_EQ(variants.size(), std::size(kGolden));
   for (size_t i = 0; i < variants.size(); ++i) {
     ASSERT_STREQ(variants[i].name, kGolden[i].name);
-    const Digests d = TrainAndDigest(variants[i]);
-    EXPECT_EQ(d.checkpoint, kGolden[i].checkpoint)
-        << variants[i].name << " checkpoint: actual " << Hex(d.checkpoint);
-    EXPECT_EQ(d.stats, kGolden[i].stats)
-        << variants[i].name << " stats: actual " << Hex(d.stats);
   }
+  for (const char* isa : {"generic", "avx2", "avx512"}) {
+    if (!nn::internal::SetGemmIsaForTesting(isa)) continue;
+    for (size_t i = 0; i < variants.size(); ++i) {
+      const Digests d = TrainAndDigest(variants[i]);
+      EXPECT_EQ(d.checkpoint, kGolden[i].checkpoint)
+          << isa << " " << variants[i].name << " checkpoint: actual "
+          << Hex(d.checkpoint);
+      EXPECT_EQ(d.stats, kGolden[i].stats)
+          << isa << " " << variants[i].name << " stats: actual "
+          << Hex(d.stats);
+    }
+  }
+  nn::internal::SetGemmIsaForTesting(nullptr);
 }
 
 TEST(GoldenDigestTest, FaultVariantExercisesTheGuard) {

@@ -2,7 +2,8 @@
 // kernels:
 //  - blocked GEMMs are bit-identical to the retained naive references over a
 //    shape sweep that straddles every tile boundary (including empty, 1xN,
-//    Nx1, and non-square shapes);
+//    Nx1, and non-square shapes, and the shapes training runs), on every
+//    SIMD tier the host supports;
 //  - the row-partitioned parallel path produces the same bits for any
 //    nn_threads value (the determinism contract of KernelConfig);
 //  - the fused graph ops (LinearActivate / AddScaled / SquareScale) match
@@ -20,6 +21,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,47 +70,85 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b, const std::string& tag) {
   }
 }
 
+/// Restores the host's own SIMD tier on scope exit.
+struct IsaGuard {
+  ~IsaGuard() { nn::internal::SetGemmIsaForTesting(nullptr); }
+};
+
+/// The SIMD tiers this host can run (always at least "generic").
+std::vector<const char*> HostIsaTiers() {
+  IsaGuard guard;
+  std::vector<const char*> tiers;
+  for (const char* isa : {"generic", "avx2", "avx512"}) {
+    if (nn::internal::SetGemmIsaForTesting(isa)) tiers.push_back(isa);
+  }
+  return tiers;
+}
+
 // Shape sweep: every (m, k, n) below exercises at least one of — empty
 // operands, single row/column, dims below one tile, dims exactly on a tile
-// boundary (8 rows / 32 columns / 8 TB-columns), and dims that straddle a
-// boundary by one.
+// boundary (8 rows / 32 columns / 64 row-tile columns / 8 TB-panel
+// columns), and dims that straddle a boundary by one.
 struct GemmShape {
   int m, k, n;
 };
 
 const std::vector<GemmShape>& SweepShapes() {
-  static const std::vector<GemmShape> shapes = {
-      {0, 0, 0},  {0, 5, 3},   {4, 0, 3},   {4, 5, 0},   {1, 1, 1},
-      {1, 7, 33}, {33, 7, 1},  {7, 9, 31},  {8, 16, 32}, {9, 17, 33},
-      {16, 3, 8}, {31, 31, 7}, {32, 8, 64}, {65, 2, 9},  {13, 40, 29},
-  };
+  static const std::vector<GemmShape> shapes = [] {
+    std::vector<GemmShape> s = {
+        {0, 0, 0},  {0, 5, 3},   {4, 0, 3},   {4, 5, 0},   {1, 1, 1},
+        {1, 7, 33}, {33, 7, 1},  {7, 9, 31},  {8, 16, 32}, {9, 17, 33},
+        {16, 3, 8}, {31, 31, 7}, {32, 8, 64}, {65, 2, 9},  {13, 40, 29},
+        {9, 0, 9},
+        // The shapes training runs: acting (m = 1) and a 4-worker batch
+        // through the 312 -> 128 input layer; dX of the 128 -> 64 layer
+        // at a full and a partial minibatch; dX of the 64 -> 2 head.
+        {1, 312, 128}, {4, 312, 128}, {256, 64, 128}, {144, 64, 128},
+        {256, 2, 64},
+    };
+    // Rows below, at and above one 8-row tile against columns one below,
+    // at and one above the TB panel width and the MatMul row-tile width.
+    for (int m : {1, 7, 9}) {
+      for (int n : {7, 8, 9, 63, 64, 65}) s.push_back({m, 11, n});
+    }
+    return s;
+  }();
   return shapes;
 }
 
 TEST(GemmKernelTest, BlockedMatchesNaiveAcrossShapeSweep) {
   KernelConfigGuard guard;
-  util::Rng rng(1234);
-  for (const GemmShape& s : SweepShapes()) {
-    const Tensor a = RandomTensor(s.m, s.k, rng);
-    const Tensor b = RandomTensor(s.k, s.n, rng);
-    const Tensor at = RandomTensor(s.k, s.m, rng);  // A^T for TransposedA.
-    const Tensor bt = RandomTensor(s.n, s.k, rng);  // B^T for TransposedB.
-
-    KernelConfig config;
-    config.gemm = GemmKernel::kBlocked;
-    config.nn_threads = 0;
-    nn::SetKernelConfig(config);
-    const std::string tag = "shape " + std::to_string(s.m) + "x" +
-                            std::to_string(s.k) + "x" + std::to_string(s.n);
-    ExpectBitEqual(nn::MatMul(a, b), nn::internal::NaiveMatMul(a, b),
-                   "MatMul " + tag);
-    ExpectBitEqual(nn::MatMulTransposedB(a, bt),
-                   nn::internal::NaiveMatMulTransposedB(a, bt),
-                   "MatMulTransposedB " + tag);
-    ExpectBitEqual(nn::MatMulTransposedA(at, b),
-                   nn::internal::NaiveMatMulTransposedA(at, b),
-                   "MatMulTransposedA " + tag);
+  IsaGuard isa_guard;
+  KernelConfig config;
+  config.gemm = GemmKernel::kBlocked;
+  config.nn_threads = 0;
+  nn::SetKernelConfig(config);
+  const std::vector<const char*> tiers = HostIsaTiers();
+  for (const char* isa : tiers) {
+    ASSERT_TRUE(nn::internal::SetGemmIsaForTesting(isa)) << isa;
+    EXPECT_STREQ(nn::ActiveGemmIsaName(), isa);
+    util::Rng rng(1234);
+    for (const GemmShape& s : SweepShapes()) {
+      const Tensor a = RandomTensor(s.m, s.k, rng);
+      const Tensor b = RandomTensor(s.k, s.n, rng);
+      const Tensor at = RandomTensor(s.k, s.m, rng);  // A^T for TransposedA.
+      const Tensor bt = RandomTensor(s.n, s.k, rng);  // B^T for TransposedB.
+      const std::string tag = std::string(isa) + " shape " +
+                              std::to_string(s.m) + "x" + std::to_string(s.k) +
+                              "x" + std::to_string(s.n);
+      ExpectBitEqual(nn::MatMul(a, b), nn::internal::NaiveMatMul(a, b),
+                     "MatMul " + tag);
+      ExpectBitEqual(nn::MatMulTransposedB(a, bt),
+                     nn::internal::NaiveMatMulTransposedB(a, bt),
+                     "MatMulTransposedB " + tag);
+      ExpectBitEqual(nn::MatMulTransposedA(at, b),
+                     nn::internal::NaiveMatMulTransposedA(at, b),
+                     "MatMulTransposedA " + tag);
+    }
   }
+  // A tier the seam does not know is refused and changes nothing.
+  EXPECT_FALSE(nn::internal::SetGemmIsaForTesting("sse9"));
+  EXPECT_STREQ(nn::ActiveGemmIsaName(), tiers.back());
 }
 
 TEST(GemmKernelTest, ParallelPathBitIdenticalForAnyThreadCount) {
@@ -147,20 +187,61 @@ TEST(GemmKernelTest, NaNPropagatesThroughZeroActivation) {
   // Regression for the old `if (av == 0.0f) continue;` zero-skip: a NaN
   // weight multiplied by a zero activation must produce NaN output, not be
   // silently skipped — the divergence guard depends on NaN staying visible.
+  // So must inf * 0. The operands are sized so that every op reaches its
+  // full tiles, its row tiles and its scalar edge: 9 zero rows (one 8-row
+  // tile plus one remainder row) against 65 weight columns (MatMul tiles
+  // of 32 and 64 plus one edge column; eight 8-column TB panels plus one).
   KernelConfigGuard guard;
+  IsaGuard isa_guard;
   const float kNan = std::numeric_limits<float>::quiet_NaN();
-  Tensor act = Tensor::FromRowMajor(1, 2, {0.0f, 0.0f});  // all-zero row.
-  Tensor w = Tensor::FromRowMajor(2, 2, {kNan, 1.0f, 2.0f, 3.0f});
-  for (GemmKernel kernel : {GemmKernel::kNaive, GemmKernel::kBlocked}) {
+  const float kInf = std::numeric_limits<float>::infinity();
+  constexpr int kRows = 9, kInner = 3, kCols = 65;
+  const Tensor act(kRows, kInner);  // all-zero activations
+  Tensor w(kInner, kCols, 1.0f);
+  w(0, 0) = kNan;   // first full tile / panel
+  w(1, 40) = kInf;  // inside a tile: inf * 0
+  w(2, 64) = kNan;  // scalar edge column
+  const Tensor wt = w.Transposed();  // the same weights as B^T
+  auto expect_poisoned = [&](const Tensor& out, const std::string& tag) {
+    ASSERT_EQ(out.rows(), kRows) << tag;
+    ASSERT_EQ(out.cols(), kCols) << tag;
+    for (int i = 0; i < kRows; ++i) {
+      for (int j = 0; j < kCols; ++j) {
+        const bool poisoned = j == 0 || j == 40 || j == 64;
+        EXPECT_EQ(std::isnan(out(i, j)), poisoned)
+            << tag << " at (" << i << ", " << j << ")";
+      }
+    }
+  };
+  std::vector<std::pair<std::string, GemmKernel>> modes = {
+      {"naive", GemmKernel::kNaive}};
+  for (const char* isa : HostIsaTiers()) {
+    modes.emplace_back(isa, GemmKernel::kBlocked);
+  }
+  for (const auto& [name, kernel] : modes) {
     KernelConfig config;
     config.gemm = kernel;
     nn::SetKernelConfig(config);
-    Tensor out = nn::MatMul(act, w);
-    EXPECT_TRUE(std::isnan(out(0, 0)))
-        << "kernel " << static_cast<int>(kernel);
-    Tensor out_ta = nn::MatMulTransposedA(act.Transposed(), w);
-    EXPECT_TRUE(std::isnan(out_ta(0, 0)))
-        << "TransposedA kernel " << static_cast<int>(kernel);
+    if (kernel == GemmKernel::kBlocked) {
+      ASSERT_TRUE(nn::internal::SetGemmIsaForTesting(name.c_str()));
+    }
+    expect_poisoned(nn::MatMul(act, w), "MatMul " + name);
+    expect_poisoned(nn::MatMulTransposedA(act.Transposed(), w),
+                    "TransposedA " + name);
+    expect_poisoned(nn::MatMulTransposedB(act, wt), "TransposedB " + name);
+    // And the other way round: inf activations (in the 8-row tile and in
+    // the remainder row) against all-zero B^T rows.
+    Tensor inf_act(kRows, kInner);
+    inf_act(0, 0) = kInf;
+    inf_act(kRows - 1, kInner - 1) = kInf;
+    const Tensor tb = nn::MatMulTransposedB(inf_act, Tensor(kCols, kInner));
+    for (int i = 0; i < kRows; ++i) {
+      for (int j = 0; j < kCols; ++j) {
+        EXPECT_EQ(std::isnan(tb(i, j)), i == 0 || i == kRows - 1)
+            << "TransposedB inf x 0 " << name << " at (" << i << ", " << j
+            << ")";
+      }
+    }
   }
 }
 

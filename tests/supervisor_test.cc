@@ -26,6 +26,7 @@
 #include "env/config.h"
 #include "env/sc_env.h"
 #include "map/campus.h"
+#include "nn/tensor.h"
 #include "util/exit_codes.h"
 #include "util/fault_inject.h"
 #include "util/retry.h"
@@ -415,8 +416,13 @@ TEST(SamplerSupervisionTest, StalledWorkerTripsStepDeadline) {
 // ---------------------------------------------------------------------------
 
 TEST(OracleGuardTest, NnKernelSelfCheckPassesOnHealthyKernels) {
-  const core::OracleCheckResult result = core::NnKernelSelfCheck();
-  EXPECT_TRUE(result.ok) << result.detail;
+  // On every GEMM SIMD tier this host runs.
+  for (const char* isa : {"generic", "avx2", "avx512"}) {
+    if (!nn::internal::SetGemmIsaForTesting(isa)) continue;
+    const core::OracleCheckResult result = core::NnKernelSelfCheck();
+    EXPECT_TRUE(result.ok) << isa << ": " << result.detail;
+  }
+  nn::internal::SetGemmIsaForTesting(nullptr);
 }
 
 TEST(OracleGuardTest, EnvSelfCheckPassesOnHealthyIndex) {
