@@ -301,8 +301,9 @@ float HiMadrlTrainer::UpdateEoiAndRewards() {
     buffer_.agents[k].reward_ho.clear();
   }
   buffer_.reward_all.assign(n, 0.0f);
+  std::vector<double> rewards_at(num_agents);
+  std::vector<int> merged;  // Plain CoPO's neighbor union, reused per row.
   for (size_t i = 0; i < n; ++i) {
-    std::vector<double> rewards_at(num_agents);
     for (int k = 0; k < num_agents; ++k) {
       rewards_at[k] = buffer_.agents[k].reward[i];
       buffer_.reward_all[i] += buffer_.agents[k].reward[i];
@@ -316,7 +317,7 @@ float HiMadrlTrainer::UpdateEoiAndRewards() {
             NeighborMeanReward(r.ho_neighbors[i], rewards_at)));
       } else {
         // Plain CoPO: one merged neighbor set (stored in the HE slot).
-        std::vector<int> merged = r.he_neighbors[i];
+        merged.assign(r.he_neighbors[i].begin(), r.he_neighbors[i].end());
         merged.insert(merged.end(), r.ho_neighbors[i].begin(),
                       r.ho_neighbors[i].end());
         std::sort(merged.begin(), merged.end());
@@ -340,12 +341,15 @@ void HiMadrlTrainer::SnapshotOldPolicies() {
 
 namespace {
 
-/// Computes (normalized) one-step or GAE advantages for a reward stream.
-AdvantageResult StreamAdvantages(const std::vector<float>& rewards,
-                                 const std::vector<float>& values,
-                                 const std::vector<float>& next_values,
+/// Computes (normalized) one-step or GAE advantages for a reward stream
+/// from one paired value pass of `net` (no grad) over `rows`.
+AdvantageResult StreamAdvantages(const ValueNet& net,
+                                 const SuccessorRows& rows,
+                                 const std::vector<float>& rewards,
                                  const std::vector<uint8_t>& dones,
                                  const TrainConfig& config, bool normalize) {
+  std::vector<float> values, next_values;
+  net.PairedValues(rows, values, next_values);
   AdvantageResult adv =
       config.gae_lambda < 0.0f
           ? OneStepAdvantages(rewards, values, next_values, dones,
@@ -450,34 +454,61 @@ void HiMadrlTrainer::ForEachAgent(const std::function<void(int)>& fn) {
   }
 }
 
-std::vector<HiMadrlTrainer::InputRows> HiMadrlTrainer::BuildInputRows(
-    std::deque<Rows>& storage) const {
+void HiMadrlTrainer::BuildInputRows(OptimizeInputs& out) const {
   const bool state_critic =
       config_.base == BaseAlgo::kMappo || config_.centralized_critic;
-  // Under SP every row gains the one-hot agent id: build it once here so
-  // PolicyUpdate and LcfUpdate share it. Otherwise the inputs are the
-  // rollout rows themselves.
-  auto rows_for = [&](int k, const Rows& base) -> const Rows* {
-    if (!config_.share_params) return &base;
-    Rows& rows = storage.emplace_back();
-    rows.reserve(base.size());
-    for (const std::vector<float>& row : base) {
-      rows.push_back(ActorInput(k, row));
+  if (config_.use_copo || (state_critic && !config_.share_params)) {
+    out.states = &out.pairs.emplace_back(
+        PairSuccessors(buffer_.states, buffer_.next_states));
+  }
+  // Under SP every row gains the one-hot agent id, built once here so
+  // PolicyUpdate and LcfUpdate share it. A row and its successor gain the
+  // same id, so the raw rows pair exactly as the augmented ones would; only
+  // the rows and the fresh successors need augmenting.
+  auto paired = [&](int k, const Rows& rows,
+                    const Rows& next_rows) -> const SuccessorRows* {
+    SuccessorRows& pairs =
+        out.pairs.emplace_back(PairSuccessors(rows, next_rows));
+    if (config_.share_params) {
+      Rows& augmented = out.sp_rows.emplace_back();
+      augmented.reserve(rows.size());
+      for (const std::vector<float>& row : rows) {
+        augmented.push_back(ActorInput(k, row));
+      }
+      for (std::vector<float>& row : pairs.fresh_rows) row = ActorInput(k, row);
+      pairs.rows = &augmented;
     }
-    return &rows;
+    return &pairs;
   };
-  std::vector<InputRows> inputs(buffer_.agents.size());
+  out.agents.resize(buffer_.agents.size());
   for (int k = 0; k < env_.num_agents(); ++k) {
     const AgentRollout& r = buffer_.agents[k];
-    InputRows& in = inputs[k];
-    in.actor = rows_for(k, r.obs);
-    in.next_actor = rows_for(k, r.next_obs);
-    // The critic sees the actor's input unless it is a state critic.
-    in.critic = state_critic ? rows_for(k, buffer_.states) : in.actor;
-    in.next_critic =
-        state_critic ? rows_for(k, buffer_.next_states) : in.next_actor;
+    InputRows& in = out.agents[k];
+    in.actor = paired(k, r.obs, r.next_obs);
+    if (!state_critic) {
+      in.critic = in.actor;
+    } else if (config_.share_params) {
+      in.critic = paired(k, buffer_.states, buffer_.next_states);
+    } else {
+      in.critic = out.states;
+    }
   }
-  return inputs;
+}
+
+HiMadrlTrainer::AgentStreams HiMadrlTrainer::AgentAdvantages(
+    int k, const InputRows& in) const {
+  const AgentNets& nets = Nets(k);
+  const AgentRollout& r = buffer_.agents[k];
+  AgentStreams adv;
+  adv.own = StreamAdvantages(*nets.value, *in.critic, r.reward, r.done,
+                             config_, true);
+  if (config_.use_copo) {
+    adv.he = StreamAdvantages(*nets.value_he, *in.actor, r.reward_he, r.done,
+                              config_, true);
+    adv.ho = StreamAdvantages(*nets.value_ho, *in.actor, r.reward_ho, r.done,
+                              config_, true);
+  }
+  return adv;
 }
 
 void HiMadrlTrainer::PolicyAgentEpoch(int k, const InputRows& in,
@@ -486,22 +517,9 @@ void HiMadrlTrainer::PolicyAgentEpoch(int k, const InputRows& in,
   const AgentRollout& r = buffer_.agents[k];
   const size_t n = buffer_.size();
 
-  // Value predictions (no grad) and advantage streams (Eqn. 24).
-  const std::vector<float> v = nets.value->Values(*in.critic);
-  const std::vector<float> vn = nets.value->Values(*in.next_critic);
-  const AdvantageResult adv_k =
-      StreamAdvantages(r.reward, v, vn, r.done, config_, true);
-  AdvantageResult adv_he, adv_ho;
-  if (config_.use_copo) {
-    const std::vector<float> vhe = nets.value_he->Values(*in.actor);
-    const std::vector<float> vhe_n = nets.value_he->Values(*in.next_actor);
-    adv_he =
-        StreamAdvantages(r.reward_he, vhe, vhe_n, r.done, config_, true);
-    const std::vector<float> vho = nets.value_ho->Values(*in.actor);
-    const std::vector<float> vho_n = nets.value_ho->Values(*in.next_actor);
-    adv_ho =
-        StreamAdvantages(r.reward_ho, vho, vho_n, r.done, config_, true);
-  }
+  // Advantage streams from this epoch's critics (Eqn. 24).
+  const AgentStreams adv = AgentAdvantages(k, in);
+  const AdvantageResult& adv_k = adv.own;
 
   // Cooperation-aware advantage A_CO (Eqn. 27) or the base advantage.
   std::vector<float> a_co(n);
@@ -510,11 +528,11 @@ void HiMadrlTrainer::PolicyAgentEpoch(int k, const InputRows& in,
       a_co[i] = adv_k.advantages[i];
     } else if (config_.hetero_copo) {
       a_co[i] = static_cast<float>(
-          CoopAdvantage(adv_k.advantages[i], adv_he.advantages[i],
-                        adv_ho.advantages[i], lcfs_[k]));
+          CoopAdvantage(adv_k.advantages[i], adv.he.advantages[i],
+                        adv.ho.advantages[i], lcfs_[k]));
     } else {
       a_co[i] = static_cast<float>(CoopAdvantagePlain(
-          adv_k.advantages[i], adv_he.advantages[i], lcfs_[k]));
+          adv_k.advantages[i], adv.he.advantages[i], lcfs_[k]));
     }
   }
 
@@ -537,7 +555,7 @@ void HiMadrlTrainer::PolicyAgentEpoch(int k, const InputRows& in,
     const std::vector<int>& batch = out.batches[b];
     // One constant leaf shared by the actor and the critics' graphs.
     const nn::Variable obs_b =
-        nn::Variable::Constant(PackBatch(*in.actor, batch));
+        nn::Variable::Constant(PackBatch(*in.actor->rows, batch));
 
     // --- Actor: maximize J_CO (Eqn. 28) + entropy bonus. ---
     float actor_loss_val = 0.0f, norm = 0.0f;
@@ -590,12 +608,12 @@ void HiMadrlTrainer::PolicyAgentEpoch(int k, const InputRows& in,
             ? critic_loss(*nets.value, obs_b, adv_k)
             : critic_loss(
                   *nets.value,
-                  nn::Variable::Constant(PackBatch(*in.critic, batch)),
+                  nn::Variable::Constant(PackBatch(*in.critic->rows, batch)),
                   adv_k);
     float aux_loss_val = 0.0f;
     if (config_.use_copo) {
-      const float he_loss_val = critic_loss(*nets.value_he, obs_b, adv_he);
-      const float ho_loss_val = critic_loss(*nets.value_ho, obs_b, adv_ho);
+      const float he_loss_val = critic_loss(*nets.value_he, obs_b, adv.he);
+      const float ho_loss_val = critic_loss(*nets.value_ho, obs_b, adv.ho);
       aux_loss_val = he_loss_val + ho_loss_val;
     }
     if (config_.divergence_guard &&
@@ -609,7 +627,7 @@ void HiMadrlTrainer::PolicyAgentEpoch(int k, const InputRows& in,
 }
 
 std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
-    const std::vector<InputRows>& inputs) {
+    const OptimizeInputs& inputs) {
   const int num_agents = env_.num_agents();
   const size_t n = buffer_.size();
   double grad_norm_sum = 0.0, value_loss_sum = 0.0;
@@ -628,7 +646,7 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
       }
     }
     ForEachAgent(
-        [&](int k) { PolicyAgentEpoch(k, inputs[k], agents[k]); });
+        [&](int k) { PolicyAgentEpoch(k, inputs.agents[k], agents[k]); });
     // Reduce in (agent, minibatch) order: the serial accumulation order.
     for (const AgentEpoch& a : agents) {
       for (float norm : a.grad_norms) grad_norm_sum += norm;
@@ -640,11 +658,9 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
 
     // Line 20: update the overall value network V_all on r_all.
     if (config_.use_copo) {
-      const std::vector<float> v_all = value_all_->Values(buffer_.states);
-      const std::vector<float> v_all_next =
-          value_all_->Values(buffer_.next_states);
-      AdvantageResult adv_all = StreamAdvantages(
-          buffer_.reward_all, v_all, v_all_next, buffer_.done, config_, false);
+      const AdvantageResult adv_all =
+          StreamAdvantages(*value_all_, *inputs.states, buffer_.reward_all,
+                           buffer_.done, config_, false);
       for (const std::vector<int>& batch :
            MakeMinibatches(n, config_.minibatch, rng_)) {
         nn::Tensor s_b = buffer_.StateBatch(batch);
@@ -673,30 +689,20 @@ std::pair<float, float> HiMadrlTrainer::PolicyUpdate(
 }
 
 void HiMadrlTrainer::LcfAgentEpoch(int k, const InputRows& in,
+                                   const AgentStreams& adv,
                                    const AdvantageResult& adv_all,
                                    AgentEpoch& out) {
   AgentNets& nets = Nets(k);
   const AgentRollout& r = buffer_.agents[k];
-
-  // Advantage streams with current critics (for dA_CO/d(phi,chi)).
-  const std::vector<float> v = nets.value->Values(*in.critic);
-  const std::vector<float> vn = nets.value->Values(*in.next_critic);
-  const AdvantageResult adv_k =
-      StreamAdvantages(r.reward, v, vn, r.done, config_, true);
-  const std::vector<float> vhe = nets.value_he->Values(*in.actor);
-  const std::vector<float> vhe_n = nets.value_he->Values(*in.next_actor);
-  const AdvantageResult adv_he =
-      StreamAdvantages(r.reward_he, vhe, vhe_n, r.done, config_, true);
-  const std::vector<float> vho = nets.value_ho->Values(*in.actor);
-  const std::vector<float> vho_n = nets.value_ho->Values(*in.next_actor);
-  const AdvantageResult adv_ho =
-      StreamAdvantages(r.reward_ho, vho, vho_n, r.done, config_, true);
+  const std::vector<float>& a_k = adv.own.advantages;
+  const std::vector<float>& a_he = adv.he.advantages;
+  const std::vector<float>& a_ho = adv.ho.advantages;
 
   std::vector<nn::Variable> actor_params = nets.actor->Parameters();
   std::vector<nn::Variable> old_params = nets.actor_old->Parameters();
   for (const std::vector<int>& batch : out.batches) {
     const nn::Variable obs_b =
-        nn::Variable::Constant(PackBatch(*in.actor, batch));
+        nn::Variable::Constant(PackBatch(*in.actor->rows, batch));
     const nn::Tensor act_b = r.ActionBatch(batch);
     std::vector<float> logp_old_b(batch.size()), adv_all_b(batch.size());
     nn::Tensor w_phi(static_cast<int>(batch.size()), 1);
@@ -707,15 +713,12 @@ void HiMadrlTrainer::LcfAgentEpoch(int k, const InputRows& in,
       adv_all_b[i] = adv_all.advantages[idx];
       if (config_.hetero_copo) {
         w_phi(static_cast<int>(i), 0) = static_cast<float>(
-            CoopAdvantageDPhi(adv_k.advantages[idx], adv_he.advantages[idx],
-                              adv_ho.advantages[idx], lcfs_[k]));
+            CoopAdvantageDPhi(a_k[idx], a_he[idx], a_ho[idx], lcfs_[k]));
         w_chi(static_cast<int>(i), 0) = static_cast<float>(
-            CoopAdvantageDChi(adv_k.advantages[idx], adv_he.advantages[idx],
-                              adv_ho.advantages[idx], lcfs_[k]));
+            CoopAdvantageDChi(a_k[idx], a_he[idx], a_ho[idx], lcfs_[k]));
       } else {
-        w_phi(static_cast<int>(i), 0) =
-            static_cast<float>(CoopAdvantagePlainDPhi(
-                adv_k.advantages[idx], adv_he.advantages[idx], lcfs_[k]));
+        w_phi(static_cast<int>(i), 0) = static_cast<float>(
+            CoopAdvantagePlainDPhi(a_k[idx], a_he[idx], lcfs_[k]));
         w_chi(static_cast<int>(i), 0) = 0.0f;
       }
     }
@@ -765,17 +768,20 @@ void HiMadrlTrainer::LcfAgentEpoch(int k, const InputRows& in,
   }
 }
 
-void HiMadrlTrainer::LcfUpdate(const std::vector<InputRows>& inputs) {
+void HiMadrlTrainer::LcfUpdate(const OptimizeInputs& inputs) {
   if (!config_.use_copo) return;
   const int num_agents = env_.num_agents();
   const size_t n = buffer_.size();
 
-  // Overall advantage A_all from V_all (Eqn. 31), shared by all agents.
-  const std::vector<float> v_all = value_all_->Values(buffer_.states);
-  const std::vector<float> v_all_next =
-      value_all_->Values(buffer_.next_states);
-  const AdvantageResult adv_all = StreamAdvantages(
-      buffer_.reward_all, v_all, v_all_next, buffer_.done, config_, true);
+  // Overall advantage A_all from V_all (Eqn. 31), shared by all agents,
+  // and each agent's streams for dA_CO/d(phi,chi). The critics stay fixed
+  // through the M2 epochs, so every epoch reads these.
+  const AdvantageResult adv_all =
+      StreamAdvantages(*value_all_, *inputs.states, buffer_.reward_all,
+                       buffer_.done, config_, true);
+  std::vector<AgentStreams> streams(num_agents);
+  ForEachAgent(
+      [&](int k) { streams[k] = AgentAdvantages(k, inputs.agents[k]); });
 
   std::vector<AgentEpoch> agents(num_agents);
   for (int m = 0; m < config_.lcf_epochs; ++m) {
@@ -783,8 +789,9 @@ void HiMadrlTrainer::LcfUpdate(const std::vector<InputRows>& inputs) {
       a = AgentEpoch{};
       a.batches = MakeMinibatches(n, config_.minibatch, rng_);
     }
-    ForEachAgent(
-        [&](int k) { LcfAgentEpoch(k, inputs[k], adv_all, agents[k]); });
+    ForEachAgent([&](int k) {
+      LcfAgentEpoch(k, inputs.agents[k], streams[k], adv_all, agents[k]);
+    });
     for (const AgentEpoch& a : agents) iter_anomalies_ += a.anomalies;
   }
 }
@@ -792,8 +799,8 @@ void HiMadrlTrainer::LcfUpdate(const std::vector<InputRows>& inputs) {
 void HiMadrlTrainer::Optimize(IterationStats& stats) {
   stats.eoi_loss = UpdateEoiAndRewards();
   SnapshotOldPolicies();
-  std::deque<Rows> storage;
-  const std::vector<InputRows> inputs = BuildInputRows(storage);
+  OptimizeInputs inputs;
+  BuildInputRows(inputs);
   std::tie(stats.actor_grad_norm, stats.value_loss) = PolicyUpdate(inputs);
   LcfUpdate(inputs);
 }

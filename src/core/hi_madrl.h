@@ -363,18 +363,33 @@ class HiMadrlTrainer : public Policy {
   std::vector<float> ActorInput(int k, const std::vector<float>& obs) const;
 
   using Rows = std::vector<std::vector<float>>;
-  /// One agent's network input rows for an optimize phase. The critic
-  /// reads obs for IPPO and the global state for MAPPO or CC; under SP
-  /// every row also carries the one-hot agent id.
+  /// One agent's network input rows for an optimize phase, each paired
+  /// with its successor rows. The critic reads obs for IPPO and the global
+  /// state for MAPPO or CC; under SP every row also carries the one-hot
+  /// agent id.
   struct InputRows {
-    const Rows* actor = nullptr;
-    const Rows* next_actor = nullptr;
-    const Rows* critic = nullptr;  ///< == actor unless a state critic.
-    const Rows* next_critic = nullptr;
+    const SuccessorRows* actor = nullptr;
+    const SuccessorRows* critic = nullptr;  ///< == actor unless a state critic.
   };
-  /// Points every agent's InputRows at the rollout buffer, or, under SP,
-  /// at id-augmented copies appended to `storage`.
-  std::vector<InputRows> BuildInputRows(std::deque<Rows>& storage) const;
+  /// Everything an optimize phase reads besides the buffer, built once by
+  /// BuildInputRows. The pairings point into `sp_rows` and the buffer.
+  struct OptimizeInputs {
+    std::deque<Rows> sp_rows;  ///< SP's id-augmented rows.
+    std::deque<SuccessorRows> pairs;
+    std::vector<InputRows> agents;
+    /// Raw state rows: V_all's, and the state critics' without SP.
+    const SuccessorRows* states = nullptr;
+  };
+  /// Pairs every agent's rows with their successors, and the raw state
+  /// rows when V_all or a state critic without SP reads them.
+  void BuildInputRows(OptimizeInputs& out) const;
+
+  /// Agent k's advantage streams (Eqn. 24) from its current critics V^k,
+  /// V_HE and V_HO; `he` and `ho` stay empty without CoPO.
+  struct AgentStreams {
+    AdvantageResult own, he, ho;
+  };
+  AgentStreams AgentAdvantages(int k, const InputRows& in) const;
 
   /// One agent's share of a policy or LCF epoch: the shared-stream draws
   /// made for it before the fan-out, and the results reduced after it.
@@ -407,14 +422,16 @@ class HiMadrlTrainer : public Policy {
   /// fields of `stats`.
   void Optimize(IterationStats& stats);
   /// Returns {mean actor grad norm, mean value loss}.
-  std::pair<float, float> PolicyUpdate(const std::vector<InputRows>& inputs);
+  std::pair<float, float> PolicyUpdate(const OptimizeInputs& inputs);
   /// Agent k's value passes, advantages and actor/critic minibatches for
   /// one policy epoch. Touches only agent k's networks (all of them
   /// under SP) and `out`.
   void PolicyAgentEpoch(int k, const InputRows& in, AgentEpoch& out);
-  void LcfUpdate(const std::vector<InputRows>& inputs);
+  /// M2 LCF epochs. No LCF epoch touches a critic, so every advantage
+  /// stream is computed once, before the first.
+  void LcfUpdate(const OptimizeInputs& inputs);
   /// Agent k's LCF meta-gradient steps for one LCF epoch.
-  void LcfAgentEpoch(int k, const InputRows& in,
+  void LcfAgentEpoch(int k, const InputRows& in, const AgentStreams& adv,
                      const AdvantageResult& adv_all, AgentEpoch& out);
 
   /// All persistent network parameters in a stable order (actors, critics,

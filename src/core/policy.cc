@@ -1,6 +1,7 @@
 #include "core/policy.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace agsc::core {
@@ -84,6 +85,45 @@ std::vector<float> ValueNet::Values(
     for (size_t r = 0; r < n; ++r) out[r0 + r] = values[static_cast<int>(r)];
   }
   return out;
+}
+
+SuccessorRows PairSuccessors(
+    const std::vector<std::vector<float>>& rows,
+    const std::vector<std::vector<float>>& next_rows) {
+  if (rows.size() != next_rows.size()) {
+    throw std::invalid_argument(
+        "PairSuccessors: rows/next_rows length mismatch");
+  }
+  SuccessorRows out;
+  out.rows = &rows;
+  for (size_t i = 0; i < next_rows.size(); ++i) {
+    const std::vector<float>& next = next_rows[i];
+    const bool follows =
+        i + 1 < rows.size() && rows[i + 1].size() == next.size() &&
+        (next.empty() || std::memcmp(rows[i + 1].data(), next.data(),
+                                     next.size() * sizeof(float)) == 0);
+    if (!follows) {
+      out.fresh.push_back(i);
+      out.fresh_rows.push_back(next);
+    }
+  }
+  return out;
+}
+
+size_t ValueNet::PairedValues(const SuccessorRows& in,
+                              std::vector<float>& values,
+                              std::vector<float>& next_values) const {
+  values = Values(*in.rows);
+  const std::vector<float> fresh = Values(in.fresh_rows);
+  next_values.resize(values.size());
+  size_t j = 0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    // The last row is always fresh, so values[i + 1] stays in range.
+    next_values[i] = j < in.fresh.size() && in.fresh[j] == i
+                         ? fresh[j++]
+                         : values[i + 1];
+  }
+  return values.size() + fresh.size();
 }
 
 std::vector<nn::Variable> ValueNet::Parameters() const {

@@ -1,6 +1,7 @@
 #ifndef AGSC_CORE_POLICY_H_
 #define AGSC_CORE_POLICY_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "nn/distributions.h"
@@ -50,6 +51,25 @@ class GaussianActor : public nn::Module {
   nn::Variable log_std_;
 };
 
+/// The input rows of one value stream and the successor of each row
+/// (o_t and o_{t+1}). Inside an episode next_rows[i] is rows[i+1] bit for
+/// bit, since both are copied from one StepResult, so only the successors
+/// that differ are kept: episode ends, and wherever the buffer joins two
+/// workers' or episodes' rows.
+struct SuccessorRows {
+  const std::vector<std::vector<float>>* rows = nullptr;
+  std::vector<size_t> fresh;  ///< Ascending i whose successor differs.
+  std::vector<std::vector<float>> fresh_rows;  ///< next_rows[fresh[j]].
+};
+
+/// Pairs `rows` with `next_rows` (kept by pointer; must outlive the result)
+/// by comparing each next_rows[i] with rows[i+1] byte for byte, never by
+/// assuming a buffer layout: -0.0 and +0.0 differ, a NaN matches only the
+/// same bits. The last row's successor is always fresh. Throws
+/// std::invalid_argument if the lengths differ.
+SuccessorRows PairSuccessors(const std::vector<std::vector<float>>& rows,
+                             const std::vector<std::vector<float>>& next_rows);
+
 /// Scalar value network V(input) -> 1 (used for V^k, V_HE, V_HO, V_all).
 class ValueNet : public nn::Module {
  public:
@@ -63,6 +83,14 @@ class ValueNet : public nn::Module {
   /// row chunks, no autograd graph, bit-identical to
   /// Forward(batch).value().
   std::vector<float> Values(const std::vector<std::vector<float>>& rows) const;
+  /// Values of `in.rows` and of their successors, evaluating each distinct
+  /// row once: a successor equal to the following row takes that row's
+  /// value, which is exact because Infer is row-independent (the property
+  /// Values' chunking already relies on). Bit-identical to Values(rows)
+  /// plus Values(next_rows). Returns the number of rows evaluated:
+  /// rows + fresh successors.
+  size_t PairedValues(const SuccessorRows& in, std::vector<float>& values,
+                      std::vector<float>& next_values) const;
 
   std::vector<nn::Variable> Parameters() const override;
 
