@@ -1,8 +1,8 @@
-// Sampling-throughput harness for the vectorized rollout subsystem:
+// Sampling-throughput harness for the in-process rollout sampler:
 // measures env-steps/s of HiMadrlTrainer::CollectRollouts for worker
-// counts {1, 2, 4, 8} (plus the legacy sequential sampler as the
-// baseline) and reports the speedup over one worker. Results are
-// recorded in BENCH_rollout.json at the repo root.
+// counts {1, 2, 4, 8} (median of several timed collects each) and reports
+// the speedup over one worker. Results are recorded in BENCH_rollout.json
+// at the repo root.
 //
 // Worker counts above the host's core count cannot speed anything up —
 // the harness still runs them (the determinism contract must hold at any
@@ -12,6 +12,7 @@
 //   AGSC_BENCH_SCALE=paper   larger episode budget per measurement
 //   AGSC_BENCH_TIMESLOTS, AGSC_BENCH_POIS   override the env scale
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -21,13 +22,15 @@
 #include "bench/bench_common.h"
 #include "core/hi_madrl.h"
 #include "env/sc_env.h"
+#include "nn/tensor.h"
+#include "util/build_info.h"
 #include "util/table.h"
 
 namespace agsc {
 namespace {
 
 struct Result {
-  int num_workers = 0;  ///< 0 = legacy sequential sampler.
+  int num_workers = 1;
   long env_steps = 0;
   double seconds = 0.0;
   double steps_per_sec = 0.0;
@@ -45,18 +48,24 @@ Result MeasureWorkers(const bench::Settings& settings, int num_workers,
   train.num_workers = num_workers;
   core::HiMadrlTrainer trainer(env, train);
 
-  // Warm-up round (first collection touches cold caches), then the
-  // measured collection.
+  // Warm-up round (first collection touches cold caches), then the median
+  // of kReps measured collections.
+  constexpr int kReps = 7;
   trainer.CollectRollouts();
-  const auto start = std::chrono::steady_clock::now();
-  trainer.CollectRollouts();
-  const auto stop = std::chrono::steady_clock::now();
+  std::vector<double> seconds;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    trainer.CollectRollouts();
+    const auto stop = std::chrono::steady_clock::now();
+    seconds.push_back(std::chrono::duration<double>(stop - start).count());
+  }
+  std::sort(seconds.begin(), seconds.end());
 
   Result r;
   r.num_workers = num_workers;
   r.env_steps = static_cast<long>(episodes) * env_config.num_timeslots *
                 env.num_agents();
-  r.seconds = std::chrono::duration<double>(stop - start).count();
+  r.seconds = seconds[kReps / 2];
   r.steps_per_sec = r.seconds > 0 ? r.env_steps / r.seconds : 0.0;
   return r;
 }
@@ -72,11 +81,10 @@ int main() {
   std::cout << "host hardware concurrency: " << cores << "\n";
 
   const int episodes = settings.paper ? 64 : 16;
-  const std::vector<int> worker_counts = {0, 1, 2, 4, 8};
+  const std::vector<int> worker_counts = {1, 2, 4, 8};
   std::vector<Result> results;
   for (int workers : worker_counts) {
-    std::cerr << "  measuring num_workers=" << workers
-              << (workers == 0 ? " (legacy sequential)" : "") << "...\n";
+    std::cerr << "  measuring num_workers=" << workers << "...\n";
     results.push_back(MeasureWorkers(settings, workers, episodes));
   }
 
@@ -87,7 +95,7 @@ int main() {
   util::Table table({"num_workers", "env_steps", "seconds", "steps/s",
                      "speedup_vs_w1"});
   for (const Result& r : results) {
-    table.AddRow({r.num_workers == 0 ? "legacy" : std::to_string(r.num_workers),
+    table.AddRow({std::to_string(r.num_workers),
                   std::to_string(r.env_steps),
                   util::FormatDouble(r.seconds, 4),
                   util::FormatDouble(r.steps_per_sec, 1),
@@ -97,7 +105,10 @@ int main() {
   table.Print();
 
   // Machine-readable block (copied into BENCH_rollout.json).
-  std::cout << "{\n  \"hardware_concurrency\": " << cores
+  std::cout << "{\n  \"build\": \""
+            << util::BuildInfoString(std::string("gemm-isa=") +
+                                     nn::ActiveGemmIsaName())
+            << "\",\n  \"hardware_concurrency\": " << cores
             << ",\n  \"episodes_per_measurement\": " << episodes
             << ",\n  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -105,7 +116,9 @@ int main() {
     std::cout << "    {\"num_workers\": " << r.num_workers
               << ", \"env_steps\": " << r.env_steps
               << ", \"seconds\": " << r.seconds
-              << ", \"steps_per_sec\": " << r.steps_per_sec << "}"
+              << ", \"steps_per_sec\": " << r.steps_per_sec
+              << ", \"speedup_vs_w1\": "
+              << (base_sps > 0 ? r.steps_per_sec / base_sps : 0.0) << "}"
               << (i + 1 < results.size() ? "," : "") << "\n";
   }
   std::cout << "  ]\n}\n";

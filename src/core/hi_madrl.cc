@@ -102,152 +102,44 @@ HiMadrlTrainer::HiMadrlTrainer(env::ScEnv& env, const TrainConfig& config)
                                            config_.eoi, rng_);
   }
   lcfs_.assign(num_agents, Lcf{});  // phi = 0, chi = 45 (Line 3).
+  rollout_actors_.share_params = config_.share_params;
+  for (int k = 0; k < num_agents; ++k) {
+    rollout_actors_.per_agent.push_back(Nets(k).actor.get());
+  }
+  if (config_.num_workers < 1) {
+    throw std::invalid_argument("TrainConfig: num_workers must be >= 1");
+  }
   if (config_.proc_workers > 0) {
     // Crash-isolated subprocess collection. Workers are spawned lazily on
     // the first collect, so a trainer built only for checkpoint surgery
     // never forks.
     ProcSampler::Options opts;
     opts.worker_binary = config_.worker_binary;
-    opts.step_deadline_ms = config_.watchdog_ms;
     opts.respawn_backoff = config_.worker_respawn;
     opts.max_respawns = config_.worker_max_respawns;
     opts.listen_address = config_.listen_address;
-    proc_sampler_ = std::make_unique<ProcSampler>(
+    sampler_ = std::make_unique<ProcSampler>(
         env_, rng_, config_.proc_workers, config_.seed, std::move(opts));
-    if (config_.stop_check) proc_sampler_->set_stop_check(config_.stop_check);
-  } else if (config_.num_workers >= 1) {
+  } else {
     sampler_ = std::make_unique<VecSampler>(env_, rng_, config_.num_workers,
                                             config_.seed);
-    if (config_.stop_check) sampler_->set_stop_check(config_.stop_check);
-    sampler_->set_step_deadline_ms(config_.watchdog_ms);
   }
+  sampler_->set_step_deadline_ms(config_.watchdog_ms);
+  sampler_->set_stop_check(config_.stop_check);
 }
 
-int HiMadrlTrainer::SamplerWorkerCount() const {
-  if (proc_sampler_) return proc_sampler_->num_workers();
-  if (sampler_) return sampler_->num_workers();
-  return 1;
-}
-
-std::vector<util::Rng*> HiMadrlTrainer::SamplerSplitRngs() {
-  if (proc_sampler_) return proc_sampler_->SplitRngs();
-  if (sampler_) return sampler_->SplitRngs();
-  return {};
-}
-
-std::vector<float> HiMadrlTrainer::ActorInput(
-    int k, const std::vector<float>& obs) const {
-  if (!config_.share_params) return obs;
-  std::vector<float> input = obs;
-  for (int j = 0; j < env_.num_agents(); ++j) {
-    input.push_back(j == k ? 1.0f : 0.0f);
-  }
-  return input;
-}
-
-void HiMadrlTrainer::BatchAct(
-    int k, const std::vector<const std::vector<float>*>& obs_rows,
-    const std::vector<util::Rng*>& rngs,
-    std::vector<std::array<float, 2>>& actions_out,
-    std::vector<float>& logps_out) {
-  const int n = static_cast<int>(obs_rows.size());
-  nn::Tensor batch(n, actor_input_dim_);
-  for (int r = 0; r < n; ++r) {
-    const std::vector<float> input = ActorInput(k, *obs_rows[r]);
-    for (int c = 0; c < actor_input_dim_; ++c) {
-      batch(r, c) = input[static_cast<size_t>(c)];
-    }
-  }
-  // One forward + one log-prob graph for every worker's row; each row of
-  // the MLP/log-prob math depends only on that row, so row r is bit-equal
-  // to a single-row Act() on worker r's observation.
-  nn::DiagGaussian dist = Nets(k).actor->Dist(batch);
-  const nn::Tensor sampled = dist.SamplePerRow(rngs);
-  const nn::Tensor logp = dist.LogProb(sampled).value();
-  for (int r = 0; r < n; ++r) {
-    actions_out[static_cast<size_t>(r)] = {sampled(r, 0), sampled(r, 1)};
-    logps_out[static_cast<size_t>(r)] = logp(r, 0);
-  }
+int HiMadrlTrainer::SamplerBoundPort() const {
+  const auto* proc = dynamic_cast<const ProcSampler*>(sampler_.get());
+  return proc != nullptr ? proc->bound_port() : 0;
 }
 
 void HiMadrlTrainer::CollectRollouts() {
   buffer_.Clear();
   rollout_metrics_.clear();
-  const int num_agents = env_.num_agents();
-  if (proc_sampler_) {
-    proc_sampler_->Collect(
-        config_.episodes_per_iteration,
-        [this](int k, const std::vector<const std::vector<float>*>& obs_rows,
-               const std::vector<util::Rng*>& rngs,
-               std::vector<std::array<float, 2>>& actions_out,
-               std::vector<float>& logps_out) {
-          BatchAct(k, obs_rows, rngs, actions_out, logps_out);
-        },
-        buffer_, rollout_metrics_);
-    total_env_steps_ += static_cast<long>(config_.episodes_per_iteration) *
-                        env_.config().num_timeslots * num_agents;
-    return;
-  }
-  if (sampler_) {
-    sampler_->Collect(
-        config_.episodes_per_iteration,
-        [this](int k, const std::vector<const std::vector<float>*>& obs_rows,
-               const std::vector<util::Rng*>& rngs,
-               std::vector<std::array<float, 2>>& actions_out,
-               std::vector<float>& logps_out) {
-          BatchAct(k, obs_rows, rngs, actions_out, logps_out);
-        },
-        buffer_, rollout_metrics_);
-    total_env_steps_ += static_cast<long>(config_.episodes_per_iteration) *
-                        env_.config().num_timeslots * num_agents;
-    return;
-  }
-  // Legacy sequential sampler (num_workers == 0): the reference
-  // implementation the vectorized path is tested against. `cur`/`nxt` are
-  // double-buffered StepResults (see VecSampler::Collect): the out-param
-  // Step writes into nxt reusing its storage, then the two swap.
-  env::StepResult cur, nxt;
-  std::vector<env::UvAction> actions(num_agents);
-  std::vector<float> logps(num_agents);
-  std::vector<std::vector<float>> raw_actions(num_agents);
-  for (int e = 0; e < config_.episodes_per_iteration; ++e) {
-    env_.Reset(cur);
-    while (true) {
-      if (config_.stop_check && config_.stop_check()) {
-        throw util::InterruptedError(
-            "rollout interrupted by stop request (legacy sampler); partial "
-            "episodes discarded");
-      }
-      for (int k = 0; k < num_agents; ++k) {
-        raw_actions[k] =
-            Nets(k).actor->Act(ActorInput(k, cur.observations[k]), rng_,
-                               /*deterministic=*/false, &logps[k]);
-        actions[k] = {raw_actions[k][0], raw_actions[k][1]};
-      }
-      env_.Step(actions, nxt);
-      for (int k = 0; k < num_agents; ++k) {
-        AgentRollout& r = buffer_.agents[k];
-        r.obs.push_back(cur.observations[k]);
-        r.next_obs.push_back(nxt.observations[k]);
-        r.action_dir.push_back(raw_actions[k][0]);
-        r.action_speed.push_back(raw_actions[k][1]);
-        r.logp_old.push_back(logps[k]);
-        r.reward_ext.push_back(static_cast<float>(nxt.rewards[k]));
-        r.he_neighbors.push_back(env_.HeterogeneousNeighbors(k));
-        r.ho_neighbors.push_back(env_.HomogeneousNeighbors(k));
-        r.done.push_back(nxt.done ? 1 : 0);
-      }
-      buffer_.states.push_back(cur.state);
-      buffer_.next_states.push_back(nxt.state);
-      buffer_.done.push_back(nxt.done ? 1 : 0);
-      const bool episode_done = nxt.done;
-      std::swap(cur, nxt);
-      if (episode_done) break;
-    }
-    rollout_metrics_.push_back(env_.EpisodeMetrics());
-    total_env_steps_ +=
-        static_cast<long>(env_.config().num_timeslots) * num_agents;
-  }
+  sampler_->Collect(config_.episodes_per_iteration, rollout_actors_, buffer_,
+                    rollout_metrics_);
+  total_env_steps_ += static_cast<long>(config_.episodes_per_iteration) *
+                      env_.config().num_timeslots * env_.num_agents();
 }
 
 float HiMadrlTrainer::CurrentOmegaIn() const {
@@ -473,9 +365,11 @@ void HiMadrlTrainer::BuildInputRows(OptimizeInputs& out) const {
       Rows& augmented = out.sp_rows.emplace_back();
       augmented.reserve(rows.size());
       for (const std::vector<float>& row : rows) {
-        augmented.push_back(ActorInput(k, row));
+        augmented.push_back(rollout_actors_.Input(k, row));
       }
-      for (std::vector<float>& row : pairs.fresh_rows) row = ActorInput(k, row);
+      for (std::vector<float>& row : pairs.fresh_rows) {
+        row = rollout_actors_.Input(k, row);
+      }
       pairs.rows = &augmented;
     }
     return &pairs;
@@ -931,26 +825,10 @@ void HiMadrlTrainer::RunOracleChecks() {
 }
 
 void HiMadrlTrainer::ApplyOracleFallbacks() {
-  if (env_fallback_) {
-    env_.DisableSpatialIndex();
-    if (sampler_) {
-      for (int w = 1; w < sampler_->num_workers(); ++w) {
-        sampler_->worker_env(w).DisableSpatialIndex();
-      }
-    }
-    // Subprocess replicas: sticky flag, carried to every worker by its
-    // next episode-prefix frame (and to respawned incarnations).
-    if (proc_sampler_) proc_sampler_->DisableSpatialIndex();
-  }
-  if (channel_fallback_) {
-    env_.DisableChannelBatch();
-    if (sampler_) {
-      for (int w = 1; w < sampler_->num_workers(); ++w) {
-        sampler_->worker_env(w).DisableChannelBatch();
-      }
-    }
-    if (proc_sampler_) proc_sampler_->DisableChannelBatch();
-  }
+  // Rollout workers take the primary env's fallbacks at their next
+  // collect: replicas in place, subprocesses from the episode frame.
+  if (env_fallback_) env_.DisableSpatialIndex();
+  if (channel_fallback_) env_.DisableChannelBatch();
   if (nn_fallback_ && nn::GetKernelConfig().gemm != nn::GemmKernel::kNaive) {
     nn::KernelConfig kernel_config = nn::GetKernelConfig();
     kernel_config.gemm = nn::GemmKernel::kNaive;
@@ -1018,8 +896,8 @@ env::UvAction HiMadrlTrainer::Act(const env::ScEnv& env, int k,
                                   const std::vector<float>& obs,
                                   util::Rng& rng, bool deterministic) {
   (void)env;
-  const std::vector<float> action =
-      Nets(k).actor->Act(ActorInput(k, obs), rng, deterministic, nullptr);
+  const std::vector<float> action = Nets(k).actor->Act(
+      rollout_actors_.Input(k, obs), rng, deterministic, nullptr);
   return {action[0], action[1]};
 }
 
@@ -1170,10 +1048,10 @@ bool HiMadrlTrainer::SaveCheckpoint(const std::string& path) {
                         (static_cast<uint64_t>(lr_backoff_count_)
                          << kBackoffCountShift)};
 
-  if (SamplerWorkerCount() > 1) {
+  if (sampler_->num_workers() > 1) {
     nn::CheckpointSection& vrng = ckpt.AddSection(kSecVecRng);
-    vrng.words.push_back(static_cast<uint64_t>(SamplerWorkerCount()));
-    for (util::Rng* stream : SamplerSplitRngs()) {
+    vrng.words.push_back(static_cast<uint64_t>(sampler_->num_workers()));
+    for (util::Rng* stream : sampler_->SplitRngs()) {
       for (uint64_t w : stream->SaveState()) vrng.words.push_back(w);
     }
   }
@@ -1365,9 +1243,9 @@ bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
   }
   // Worker RNG streams: a checkpoint is only bit-exact to resume with the
   // same num_workers, so a mismatch is rejected loudly. Files without a
-  // vrng section come from single-worker (or legacy-sampler) runs.
+  // vrng section come from single-worker runs.
   const nn::CheckpointSection* vrng_sec = ckpt.Find(kSecVecRng);
-  const uint64_t my_workers = static_cast<uint64_t>(SamplerWorkerCount());
+  const uint64_t my_workers = static_cast<uint64_t>(sampler_->num_workers());
   const uint64_t file_workers =
       vrng_sec && !vrng_sec->words.empty() ? vrng_sec->words[0] : 1;
   if (file_workers != my_workers) {
@@ -1402,7 +1280,7 @@ bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
               util::Rng::kStateWords, rng_state.begin());
   env_.rng().LoadState(rng_state);
   if (vrng_sec != nullptr) {
-    const std::vector<util::Rng*> streams = SamplerSplitRngs();
+    const std::vector<util::Rng*> streams = sampler_->SplitRngs();
     for (size_t i = 0; i < streams.size(); ++i) {
       std::copy_n(vrng_sec->words.begin() + 1 + i * util::Rng::kStateWords,
                   util::Rng::kStateWords, rng_state.begin());

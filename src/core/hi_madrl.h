@@ -92,16 +92,20 @@ struct TrainConfig {
 
   // --- Long-run supervisor (robustness) ---
   /// Cooperative stop hook (e.g. util::ShutdownRequested), polled at
-  /// iteration boundaries and at every sampling timeslot. When it fires
-  /// mid-collect the partial iteration is abandoned via
-  /// util::InterruptedError; Train flushes a final checkpoint and rethrows.
+  /// iteration boundaries and once per env step of every rollout worker —
+  /// from the workers' threads with num_workers > 1, so it must be
+  /// thread-safe. When it fires mid-collect the partial iteration is
+  /// abandoned via util::InterruptedError; Train flushes a final
+  /// checkpoint and rethrows.
   std::function<bool()> stop_check;
-  /// Watchdog deadline for each parallel rollout reset/step batch, in
-  /// milliseconds (0 = disabled). A hung worker turns into a
-  /// util::WatchdogTimeoutError naming the stuck worker and timeslot
-  /// instead of a deadlock. Effective only with num_workers > 1 (the
-  /// single-worker pool runs inline). Fail-fast: no checkpoint is flushed
-  /// on timeout, since the hung task may still be mutating trainer state.
+  /// Deadline for one rollout env step, in milliseconds (0 = disabled).
+  /// In-process, a worker that goes this long without finishing a step
+  /// turns into a util::WatchdogTimeoutError naming it instead of a
+  /// deadlock; effective only with num_workers > 1 (the single-worker pool
+  /// runs inline). Fail-fast: no checkpoint is flushed on timeout, since
+  /// the hung task may still be mutating trainer state. With proc or
+  /// remote workers it bounds every record read and frame write, and a
+  /// straggler is killed and its episode re-run.
   long watchdog_ms = 0;
   /// Run the oracle self-checks (indexed env vs naive linear scan, blocked
   /// GEMM vs naive reference) at the start of every `oracle_check_every`-th
@@ -126,22 +130,20 @@ struct TrainConfig {
   int checkpoint_keep = 3;
 
   // --- Parallel rollout collection ---
-  /// Rollout workers for on-policy sampling. 1 (the default) runs the
-  /// vectorized sampler with a single worker, which is bit-identical to the
-  /// legacy sequential sampler and spawns no threads. W > 1 runs W
-  /// independent environment replicas in lock-step on a thread pool with
-  /// per-worker `Rng::Split` streams; results are bit-identical for a given
-  /// (seed, num_workers) pair and independent of thread scheduling. 0
-  /// selects the legacy sequential sampler directly (reference
-  /// implementation, kept for the equivalence tests).
+  /// Rollout workers for on-policy sampling; must be >= 1. 1 (the default)
+  /// runs every episode on the calling thread and spawns no threads.
+  /// W > 1 runs W independent environment replicas, each running whole
+  /// episodes on a thread pool with its own `Rng::Split` streams; results
+  /// are bit-identical for a given (seed, num_workers) pair and
+  /// independent of thread scheduling (core/vec_sampler.h).
   int num_workers = 1;
 
   // --- Crash-isolated subprocess rollout collection ---
   /// > 0 replaces the in-process sampler with `proc_workers` agsc_worker
   /// subprocesses (core/proc_sampler.h): each worker owns one environment
   /// replica in its own address space, and a crashed/hung/garbage-emitting
-  /// worker is respawned and replayed deterministically instead of taking
-  /// the trainer down. Buffers and checkpoints are bit-identical to
+  /// worker is respawned and its episode re-run deterministically instead
+  /// of taking the trainer down. Buffers and checkpoints are bit-identical to
   /// `num_workers == proc_workers` for the same seed (checkpoints from
   /// either mode resume in the other). Takes precedence over num_workers;
   /// the CLI enforces mutual exclusivity.
@@ -154,7 +156,7 @@ struct TrainConfig {
   /// kernel-assigned, see SamplerBoundPort()) and `proc_workers`
   /// externally launched `agsc_worker --connect` processes claim the
   /// slots. Same protocol, same bit-exactness contract; a dropped
-  /// connection replays like a local crash. The CLI sets this from
+  /// connection is recovered like a local crash. The CLI sets this from
   /// --listen + --remote-workers.
   std::string listen_address;
   /// Backoff schedule between respawn attempts of a failed worker, and the
@@ -262,8 +264,7 @@ class HiMadrlTrainer : public Policy {
 
   /// Runs one round of on-policy sampling (Algorithm 1, Lines 5-11) into
   /// the shared buffer: `config.episodes_per_iteration` episodes through
-  /// the vectorized sampler (`num_workers >= 1`) or the legacy sequential
-  /// loop (`num_workers == 0`). Public so the sampling-throughput bench and
+  /// the configured sampler. Public so the sampling-throughput bench and
   /// the determinism tests can drive collection without a policy update.
   void CollectRollouts();
 
@@ -318,11 +319,11 @@ class HiMadrlTrainer : public Policy {
   /// action for `k` is actor(k).mean_net() on ActorInputFor(k, obs).
   const GaussianActor& actor(int k) const { return *Nets(k).actor; }
 
-  /// Public ActorInput: obs plus the one-hot agent id appended under
+  /// Actor input: obs plus the one-hot agent id appended under
   /// share_params (identity otherwise). Exposed so serving code can build
   /// bit-identical actor rows without going through Act.
   std::vector<float> ActorInputFor(int k, const std::vector<float>& obs) const {
-    return ActorInput(k, obs);
+    return rollout_actors_.Input(k, obs);
   }
 
   /// Restores the newest checkpoint in `dir` that passes validation,
@@ -338,9 +339,7 @@ class HiMadrlTrainer : public Policy {
   /// port the sampler is listening on — resolves a port-0 listen address
   /// to the kernel's choice so the CLI can publish it (--port-file) before
   /// any worker connects. 0 in every other sampler mode.
-  int SamplerBoundPort() const {
-    return proc_sampler_ ? proc_sampler_->bound_port() : 0;
-  }
+  int SamplerBoundPort() const;
 
  private:
   struct AgentNets {
@@ -357,10 +356,6 @@ class HiMadrlTrainer : public Policy {
   const AgentNets& Nets(int k) const {
     return nets_[config_.share_params ? 0 : k];
   }
-
-  /// Actor input: raw obs, plus a one-hot agent id when parameters are
-  /// shared (SP) so the shared network can distinguish UVs.
-  std::vector<float> ActorInput(int k, const std::vector<float>& obs) const;
 
   using Rows = std::vector<std::vector<float>>;
   /// One agent's network input rows for an optimize phase, each paired
@@ -408,13 +403,6 @@ class HiMadrlTrainer : public Policy {
   /// agent's exception once every agent finished.
   void ForEachAgent(const std::function<void(int)>& fn);
 
-  /// Batched action selection across rollout workers for agent `k` (the
-  /// VecSampler's BatchActFn): one actor forward over all rows, then
-  /// per-row sampling from each worker's private stream.
-  void BatchAct(int k, const std::vector<const std::vector<float>*>& obs_rows,
-                const std::vector<util::Rng*>& rngs,
-                std::vector<std::array<float, 2>>& actions_out,
-                std::vector<float>& logps_out);
   float UpdateEoiAndRewards();
   void SnapshotOldPolicies();
   /// i-EOI update, theta_old snapshot, policy epochs and LCF epochs on the
@@ -453,22 +441,14 @@ class HiMadrlTrainer : public Policy {
   /// Runs the due oracle self-checks and applies any permanent fallback
   /// (env spatial index -> naive scan, blocked GEMM -> naive kernels).
   void RunOracleChecks();
-  /// Applies the sticky fallback flags to the live env/replicas/kernels
-  /// (after a self-check mismatch or a checkpoint restore).
+  /// Applies the sticky fallback flags to the live env and kernels (after
+  /// a self-check mismatch or a checkpoint restore); the samplers carry
+  /// them to every worker.
   void ApplyOracleFallbacks();
-
-  /// Worker count of whichever sampler is active (1 for the legacy
-  /// sequential sampler) — the value the checkpoint `vrng` section keys on.
-  int SamplerWorkerCount() const;
-  /// Extra per-worker RNG streams of the active sampler in checkpoint
-  /// order; empty for the legacy sampler.
-  std::vector<util::Rng*> SamplerSplitRngs();
 
   env::ScEnv& env_;
   TrainConfig config_;
   util::Rng rng_;
-  std::unique_ptr<VecSampler> sampler_;  ///< Null when num_workers == 0.
-  std::unique_ptr<ProcSampler> proc_sampler_;  ///< Set when proc_workers > 0.
   std::vector<AgentNets> nets_;
   std::unique_ptr<ValueNet> value_all_;       ///< V_all on the state.
   std::unique_ptr<nn::Adam> value_all_opt_;
@@ -478,6 +458,10 @@ class HiMadrlTrainer : public Policy {
   std::vector<env::Metrics> rollout_metrics_;
   std::vector<IterationStats> stats_history_;
   std::unique_ptr<util::ThreadPool> agent_pool_;  ///< See ForEachAgent.
+  RolloutActors rollout_actors_;  ///< Each agent's live actor.
+  /// VecSampler or ProcSampler. Declared after every network so it is
+  /// destroyed first: its destructor joins straggling rollout tasks.
+  std::unique_ptr<Sampler> sampler_;
   int iteration_ = 0;
   long total_env_steps_ = 0;
   int actor_input_dim_ = 0;

@@ -12,22 +12,13 @@
 #include <thread>
 #include <utility>
 
+#include "nn/tensor.h"
 #include "util/logging.h"
 #include "util/shutdown.h"
 
 namespace agsc::core {
 
 namespace {
-
-// Same stream-id layout as VecSampler: worker w > 0 samples from id 2w and
-// steps its environment from id 2w+1; worker 0 owns no split ids.
-uint64_t SampleStreamId(int w) { return 2 * static_cast<uint64_t>(w); }
-uint64_t EnvStreamId(int w) { return 2 * static_cast<uint64_t>(w) + 1; }
-
-// Extra read budget for an episode-prefix reply from a fresh incarnation:
-// the worker first rebuilds its dataset/env, which the per-step deadline
-// was never meant to cover.
-constexpr long kSpawnGraceMs = 15000;
 
 long RemainingMs(const std::chrono::steady_clock::time_point& deadline) {
   const auto now = std::chrono::steady_clock::now();
@@ -39,18 +30,15 @@ long RemainingMs(const std::chrono::steady_clock::time_point& deadline) {
 
 ProcSampler::ProcSampler(env::ScEnv& primary_env, util::Rng& primary_rng,
                          int num_workers, uint64_t seed, Options options)
-    : primary_env_(primary_env),
-      primary_rng_(primary_rng),
-      num_workers_(num_workers),
+    : Sampler(primary_rng, num_workers, seed),
+      primary_env_(primary_env),
       options_(std::move(options)) {
-  if (num_workers < 1) {
-    throw std::invalid_argument("ProcSampler: num_workers must be >= 1");
-  }
   if (!remote() && options_.worker_binary.empty()) {
     throw std::invalid_argument("ProcSampler: worker_binary is required");
   }
-  map::CampusId campus;
-  if (!CampusIdFromName(primary_env_.dataset().campus.name, campus)) {
+  set_step_deadline_ms(options_.step_deadline_ms);
+  init_.config = primary_env_.config();
+  if (!CampusIdFromName(primary_env_.dataset().campus.name, init_.campus)) {
     throw std::invalid_argument(
         "ProcSampler: environment dataset is not a named campus; worker "
         "processes cannot rebuild it");
@@ -78,17 +66,11 @@ ProcSampler::ProcSampler(env::ScEnv& primary_env, util::Rng& primary_rng,
   }
 
   const util::Rng base(seed);
-  sample_rngs_.reserve(static_cast<size_t>(num_workers - 1));
-  env_mirrors_.reserve(static_cast<size_t>(num_workers - 1));
   for (int w = 1; w < num_workers; ++w) {
-    sample_rngs_.push_back(base.Split(SampleStreamId(w)));
     env_mirrors_.push_back(base.Split(EnvStreamId(w)));
   }
   workers_.resize(static_cast<size_t>(num_workers));
-  episode_rng_.resize(static_cast<size_t>(num_workers));
-  replay_log_.resize(static_cast<size_t>(num_workers));
   consecutive_failures_.assign(static_cast<size_t>(num_workers), 0);
-  pending_prefix_.assign(static_cast<size_t>(num_workers), 0);
 }
 
 ProcSampler::~ProcSampler() {
@@ -114,25 +96,6 @@ ProcSampler::~ProcSampler() {
   }
 }
 
-util::Rng& ProcSampler::sample_rng(int w) {
-  return w == 0 ? primary_rng_ : sample_rngs_[static_cast<size_t>(w - 1)];
-}
-
-util::Rng& ProcSampler::env_stream(int w) {
-  return w == 0 ? primary_env_.rng()
-                : env_mirrors_[static_cast<size_t>(w - 1)];
-}
-
-std::vector<util::Rng*> ProcSampler::SplitRngs() {
-  std::vector<util::Rng*> rngs;
-  rngs.reserve(2 * sample_rngs_.size());
-  for (int w = 1; w < num_workers_; ++w) {
-    rngs.push_back(&sample_rngs_[static_cast<size_t>(w - 1)]);
-    rngs.push_back(&env_mirrors_[static_cast<size_t>(w - 1)]);
-  }
-  return rngs;
-}
-
 void ProcSampler::ResetTransport(Worker& wk) {
   if (wk.fd >= 0) {
     // Shutdown first: a straggler blocked mid-write on the far side must
@@ -148,6 +111,15 @@ void ProcSampler::ResetTransport(Worker& wk) {
   wk.writer.reset();
   wk.out_seq = 0;
   wk.connected = false;
+  wk.has_policy = false;
+}
+
+void ProcSampler::CutOff(Worker& wk) {
+  if (remote()) {
+    if (wk.fd >= 0) ::shutdown(wk.fd, SHUT_RDWR);
+  } else {
+    wk.proc.Kill(SIGKILL);
+  }
 }
 
 bool ProcSampler::SpawnLocal(int w) {
@@ -158,8 +130,8 @@ bool ProcSampler::SpawnLocal(int w) {
       "--incarnation", std::to_string(wk.incarnation)};
   if (!wk.proc.Start(argv)) return false;
   if (options_.send_buffer_bytes > 0) {
-    // Test hook: a tiny pipe makes a large episode-prefix frame exceed the
-    // kernel buffer, so a worker that stops draining trips the bounded
+    // Test hook: a tiny pipe makes the policy frame exceed the kernel
+    // buffer, so a worker that stops draining trips the bounded
     // write instead of hiding behind buffering. Kernel clamps to >= 1 page.
     ::fcntl(wk.proc.stdin_fd(), F_SETPIPE_SZ, options_.send_buffer_bytes);
   }
@@ -226,12 +198,7 @@ bool ProcSampler::AttachRemote(int w) {
 
 bool ProcSampler::Handshake(int w) {
   Worker& wk = workers_[static_cast<size_t>(w)];
-  WorkerInit init;
-  init.config = primary_env_.config();
-  if (!CampusIdFromName(primary_env_.dataset().campus.name, init.campus)) {
-    return false;  // Unreachable: the ctor validated the name.
-  }
-  if (wk.writer->Write(kMsgInit, wk.out_seq++, EncodeWorkerInit(init),
+  if (wk.writer->Write(kMsgInit, wk.out_seq++, EncodeWorkerInit(init_),
                        options_.handshake_timeout_ms) !=
       util::IpcStatus::kOk) {
     ResetTransport(wk);
@@ -289,7 +256,7 @@ void ProcSampler::FailWorker(int w, const std::string& why) {
   AGSC_LOG(kWarning) << "proc sampler: worker " << w << " failed (" << why
                      << "); " << (remote() ? "dropping the connection"
                                            : "killing and respawning")
-                     << " for deterministic replay";
+                     << " and re-running its episode";
   ResetTransport(wk);
   ++lifetime_respawns_;
   if (++collect_respawns_ > options_.max_respawns) {
@@ -308,307 +275,174 @@ void ProcSampler::FailWorker(int w, const std::string& why) {
   }
 }
 
-bool ProcSampler::SendPrefix(int w) {
+bool ProcSampler::Send(int w, uint32_t type, const std::string& payload) {
   Worker& wk = workers_[static_cast<size_t>(w)];
-  EpisodePrefix prefix;
-  prefix.flags = (naive_env_ ? kPrefixNaiveEnv : 0) |
-                 (scalar_channel_ ? kPrefixScalarChannel : 0);
-  prefix.rng_state = episode_rng_[static_cast<size_t>(w)];
-  prefix.replay = replay_log_[static_cast<size_t>(w)];
-  pending_prefix_[static_cast<size_t>(w)] = 1;
-  // The prefix is the one frame that can outgrow a kernel buffer (a crash
-  // replay late in an episode carries the whole action log), so the
-  // bounded write is what protects the trainer from a peer that stops
-  // draining: kTimeout here escalates exactly like a read failure.
-  const util::IpcStatus status =
-      wk.writer->Write(kMsgEpisodePrefix, wk.out_seq++,
-                       EncodeEpisodePrefix(prefix), write_timeout_ms());
-  if (status == util::IpcStatus::kTimeout) {
-    AGSC_LOG(kWarning) << "proc sampler: worker " << w
-                       << " stopped draining its pipe (prefix write timed "
-                          "out)";
-    // Same hard cutoff as a read timeout: the straggler never received the
-    // full replay and must not write a stale frame into a respawned
-    // successor's conversation.
-    if (remote()) {
-      if (wk.fd >= 0) ::shutdown(wk.fd, SHUT_RDWR);
-    } else {
-      wk.proc.Kill(SIGKILL);
-    }
-  }
-  if (status != util::IpcStatus::kOk) {
-    // The peer cannot have a coherent view of the episode; there is nothing
-    // to await on this transport. Leaving `connected` set would make the
-    // caller wait out the full scaled prefix-read deadline (deadline_ms x
-    // replay length) for a reply that can never come.
-    wk.connected = false;
-  }
-  return status == util::IpcStatus::kOk;
+  // Bounded like every read: a peer that stops draining its pipe or socket
+  // must not wedge the trainer (the policy frame can outgrow the kernel
+  // buffer). Any failure leaves the worker disconnected, so the next read
+  // restarts it instead of waiting for a reply that cannot come.
+  const util::IpcStatus status = wk.writer->Write(
+      type, wk.out_seq++, payload,
+      step_deadline_ms_ > 0 ? step_deadline_ms_ : -1);
+  if (status == util::IpcStatus::kOk) return true;
+  AGSC_LOG(kWarning) << "proc sampler: worker " << w << " frame write failed ("
+                     << util::IpcStatusName(status) << ")";
+  if (status == util::IpcStatus::kTimeout) CutOff(wk);
+  wk.connected = false;
+  return false;
 }
 
-bool ProcSampler::SendStep(int w, const WorkerActions& actions) {
+void ProcSampler::StartEpisode(int w) {
   Worker& wk = workers_[static_cast<size_t>(w)];
-  pending_prefix_[static_cast<size_t>(w)] = 0;
-  return wk.writer->Write(kMsgStep, wk.out_seq++, EncodeWorkerActions(actions),
-                          write_timeout_ms()) == util::IpcStatus::kOk;
+  if (!wk.connected) SpawnWorker(w);
+  if (!wk.has_policy) {
+    if (!Send(w, kMsgPolicy, policy_)) return;
+    wk.has_policy = true;
+  }
+  WorkerEpisode episode;
+  episode.flags =
+      (primary_env_.config().use_spatial_index ? 0 : kEpisodeNaiveEnv) |
+      (primary_env_.config().use_channel_batch ? 0 : kEpisodeScalarChannel) |
+      (nn::GetKernelConfig().gemm == nn::GemmKernel::kNaive ? kEpisodeNaiveNn
+                                                             : 0);
+  episode.env_rng = env_stream(w).SaveState();
+  episode.sample_rng = sample_rng(w).SaveState();
+  Send(w, kMsgEpisode, EncodeWorkerEpisode(episode));
 }
 
-bool ProcSampler::ReadResult(int w, long timeout_ms, WorkerStepResult& out,
-                             std::string* why) {
-  Worker& wk = workers_[static_cast<size_t>(w)];
-  util::Frame frame;
-  const util::IpcStatus status = wk.reader->Read(frame, timeout_ms);
-  if (status != util::IpcStatus::kOk) {
-    if (status == util::IpcStatus::kTimeout) {
-      // A hung worker: unlike VecSampler's fail-fast watchdog this is
-      // recoverable, but cut it off hard so the straggler cannot write a
-      // stale frame into a respawned successor's conversation — SIGKILL
-      // locally, socket shutdown remotely (FailWorker closes the fd).
-      if (remote()) {
-        if (wk.fd >= 0) ::shutdown(wk.fd, SHUT_RDWR);
-      } else {
-        wk.proc.Kill(SIGKILL);
-      }
+void ProcSampler::Restart(int w, const std::string& why) {
+  sinks_[static_cast<size_t>(w)].DropPartial();
+  FailWorker(w, why);
+  StartEpisode(w);
+}
+
+bool ProcSampler::ValidRows(const std::vector<std::vector<float>>& obs,
+                            const std::vector<float>& state) const {
+  if (obs.size() != static_cast<size_t>(primary_env_.num_agents()) ||
+      state.size() != static_cast<size_t>(primary_env_.state_dim())) {
+    return false;
+  }
+  for (const std::vector<float>& row : obs) {
+    if (row.size() != static_cast<size_t>(primary_env_.obs_dim())) {
+      return false;
     }
-    if (why != nullptr) *why = std::string("read: ") + IpcStatusName(status);
-    return false;
-  }
-  if (frame.type != kMsgStepResult ||
-      !DecodeWorkerStepResult(frame.payload, out)) {
-    if (why != nullptr) *why = "malformed result frame";
-    return false;
-  }
-  const size_t num_agents = static_cast<size_t>(primary_env_.num_agents());
-  const size_t obs_dim = static_cast<size_t>(primary_env_.obs_dim());
-  bool shape_ok = out.observations.size() == num_agents &&
-                  out.state.size() ==
-                      static_cast<size_t>(primary_env_.state_dim());
-  for (const std::vector<float>& obs : out.observations) {
-    shape_ok = shape_ok && obs.size() == obs_dim;
-  }
-  if (!out.is_reset) {
-    shape_ok = shape_ok && out.rewards.size() == num_agents &&
-               out.he_neighbors.size() == num_agents &&
-               out.ho_neighbors.size() == num_agents;
-  }
-  if (!shape_ok) {
-    if (why != nullptr) *why = "result shape mismatch";
-    return false;
   }
   return true;
 }
 
-WorkerStepResult ProcSampler::AwaitResult(int w) {
-  for (;;) {
-    Worker& wk = workers_[static_cast<size_t>(w)];
-    std::string why = "not connected";
-    WorkerStepResult result;
-    bool ok = false;
-    if (wk.connected) {
-      // 0 = "block forever" in Options terms, -1 on the IPC sentinel.
-      long timeout = options_.step_deadline_ms > 0
-                         ? options_.step_deadline_ms
-                         : -1;
-      if (timeout > 0 && pending_prefix_[static_cast<size_t>(w)] != 0) {
-        // A prefix reply covers env rebuild + silent replay of the episode
-        // so far, not just one step.
-        timeout = timeout * static_cast<long>(
-                                replay_log_[static_cast<size_t>(w)].size() + 2) +
-                  kSpawnGraceMs;
+bool ProcSampler::ValidRecord(const StepRecord& record) const {
+  if (!ValidRows(record.obs, record.state)) return false;
+  for (const auto* lists : {&record.he_neighbors, &record.ho_neighbors}) {
+    for (const std::vector<int>& ids : *lists) {
+      for (int id : ids) {
+        if (id < 0 || id >= primary_env_.num_agents()) return false;
       }
-      ok = ReadResult(w, timeout, result, &why);
-      if (ok &&
-          result.is_reset != replay_log_[static_cast<size_t>(w)].empty()) {
-        ok = false;
-        why = "result kind does not match the episode position";
-      }
-    }
-    if (ok) {
-      // Mirror the worker's post-step env stream so the next prefix —
-      // ordinary reset or crash replay — resumes the exact position.
-      env_stream(w).LoadState(result.rng_state);
-      consecutive_failures_[static_cast<size_t>(w)] = 0;
-      pending_prefix_[static_cast<size_t>(w)] = 0;
-      return result;
-    }
-    FailWorker(w, why);
-    SpawnWorker(w);
-    // Fresh incarnation: replay the episode deterministically. A prefix
-    // write that itself fails escalates on the spot — the peer never got
-    // the replay, so waiting for its reply would burn the whole scaled
-    // prefix-read deadline. FailWorker enforces the respawn budget, so
-    // this cannot loop forever.
-    while (!SendPrefix(w)) {
-      FailWorker(w, "prefix write failed");
-      SpawnWorker(w);
     }
   }
+  return true;
 }
 
-void ProcSampler::Collect(int episodes, const BatchActFn& act,
+bool ProcSampler::ReadRecord(int w) {
+  Worker& wk = workers_[static_cast<size_t>(w)];
+  const MultiAgentBuffer& shard = shards_[static_cast<size_t>(w)];
+  BufferSink& sink = sinks_[static_cast<size_t>(w)];
+  const size_t open = sink.open_steps();
+  const bool after_done = open > 0 && shard.done.back() != 0;
+  std::string why = "not connected";
+  if (wk.connected) {
+    util::Frame frame;
+    const util::IpcStatus status = wk.reader->Read(
+        frame, step_deadline_ms_ > 0 ? step_deadline_ms_ : -1);
+    if (status != util::IpcStatus::kOk) {
+      if (status == util::IpcStatus::kTimeout) CutOff(wk);
+      why = std::string("read: ") + util::IpcStatusName(status);
+    } else if (frame.type == kMsgStepRecord) {
+      // At most num_timeslots records, and none after the done one.
+      if (DecodeStepRecord(frame.payload, record_) && ValidRecord(record_) &&
+          !after_done &&
+          open < static_cast<size_t>(primary_env_.config().num_timeslots)) {
+        sink.Step(record_);
+        consecutive_failures_[static_cast<size_t>(w)] = 0;
+        return false;
+      }
+      why = "malformed step record";
+    } else if (frame.type == kMsgEpisodeEnd) {
+      EpisodeEnd end;
+      if (DecodeEpisodeEnd(frame.payload, end) &&
+          ValidRows(end.obs, end.state) && after_done) {
+        sink.End(end);
+        env_stream(w).LoadState(end.env_rng);
+        sample_rng(w).LoadState(end.sample_rng);
+        return true;
+      }
+      why = "malformed episode end";
+    } else {
+      why = "unexpected frame type " + std::to_string(frame.type);
+    }
+  }
+  Restart(w, why);
+  return false;
+}
+
+void ProcSampler::Collect(int episodes, const RolloutActors& actors,
                           MultiAgentBuffer& buffer,
                           std::vector<env::Metrics>& metrics) {
   if (episodes <= 0) return;
   collect_respawns_ = 0;
-  const int num_agents = primary_env_.num_agents();
-  const int w_count = num_workers_;
+  const std::vector<int> sizes = actors.per_agent.front()->mean_net().sizes();
+  init_.actor_hidden.assign(sizes.begin() + 1, sizes.end() - 1);
+  init_.share_params = actors.share_params;
+  std::vector<const GaussianActor*> nets = actors.per_agent;
+  if (actors.share_params) nets.resize(1);
+  policy_ = EncodeWorkerPolicy(nets);
+  for (Worker& wk : workers_) wk.has_policy = false;
 
-  // Worker-local outputs, merged in worker-index order at the end — the
-  // same merge contract as VecSampler, so the result never depends on
-  // worker timing.
-  std::vector<MultiAgentBuffer> wbufs;
-  wbufs.reserve(static_cast<size_t>(w_count));
-  for (int w = 0; w < w_count; ++w) wbufs.emplace_back(num_agents);
-  std::vector<std::vector<env::Metrics>> wmetrics(
-      static_cast<size_t>(w_count));
-  std::vector<WorkerStepResult> cur(static_cast<size_t>(w_count));
-  std::vector<WorkerActions> step_msgs(static_cast<size_t>(w_count));
-  std::vector<std::vector<std::array<float, 2>>> raw(
-      static_cast<size_t>(w_count),
-      std::vector<std::array<float, 2>>(static_cast<size_t>(num_agents)));
-  std::vector<std::vector<float>> logps(
-      static_cast<size_t>(w_count),
-      std::vector<float>(static_cast<size_t>(num_agents)));
-  std::vector<uint8_t> running;
-  std::vector<int> run_ids;
-
-  // Batched-action scratch, identical use to VecSampler::Collect.
-  std::vector<const std::vector<float>*> rows;
-  std::vector<util::Rng*> rngs;
-  std::vector<std::array<float, 2>> batch_actions;
-  std::vector<float> batch_logps;
-
-  const auto check_stop = [&](int round, int timeslot) {
-    if (stop_check_ && stop_check_()) {
-      std::ostringstream msg;
-      msg << "rollout interrupted by stop request (round " << round
-          << ", timeslot " << timeslot << "); partial episodes discarded";
-      throw util::InterruptedError(msg.str());
-    }
-  };
-
-  // Episodes are dealt round-robin, so each round's active workers form a
-  // prefix 0..active-1 of the worker indices.
-  const int rounds = (episodes + w_count - 1) / w_count;
-  for (int r = 0; r < rounds; ++r) {
-    check_stop(r, 0);
-    const int active = std::min(w_count, episodes - r * w_count);
-
-    // Episode starts: snapshot each worker's episode-start RNG position,
-    // send all prefixes first so the resets run concurrently, then collect
-    // the replies in worker order.
-    for (int w = 0; w < active; ++w) {
-      episode_rng_[static_cast<size_t>(w)] = env_stream(w).SaveState();
-      replay_log_[static_cast<size_t>(w)].clear();
-      if (!workers_[static_cast<size_t>(w)].connected) SpawnWorker(w);
-      SendPrefix(w);  // Failures surface in AwaitResult and are recovered.
-    }
-    for (int w = 0; w < active; ++w) {
-      cur[static_cast<size_t>(w)] = AwaitResult(w);
-    }
-
-    running.assign(static_cast<size_t>(active), 1);
-    int num_running = active;
-    int timeslot = 0;
-    while (num_running > 0) {
-      check_stop(r, timeslot);
-      run_ids.clear();
-      for (int w = 0; w < active; ++w) {
-        if (running[static_cast<size_t>(w)]) run_ids.push_back(w);
-      }
-
-      // Batched action selection on this thread: one forward per agent
-      // covering all running workers, each row sampled from its own worker
-      // stream in ascending worker order — the exact computation VecSampler
-      // performs, hence bit-equal actions and log-probs.
-      for (int w : run_ids) {
-        step_msgs[static_cast<size_t>(w)].per_agent.assign(
-            static_cast<size_t>(num_agents), {});
-      }
-      for (int k = 0; k < num_agents; ++k) {
-        rows.clear();
-        rngs.clear();
-        for (int w : run_ids) {
-          rows.push_back(
-              &cur[static_cast<size_t>(w)]
-                   .observations[static_cast<size_t>(k)]);
-          rngs.push_back(&sample_rng(w));
-        }
-        batch_actions.assign(run_ids.size(), {});
-        batch_logps.assign(run_ids.size(), 0.0f);
-        act(k, rows, rngs, batch_actions, batch_logps);
-        for (size_t i = 0; i < run_ids.size(); ++i) {
-          const int w = run_ids[i];
-          raw[static_cast<size_t>(w)][static_cast<size_t>(k)] =
-              batch_actions[i];
-          logps[static_cast<size_t>(w)][static_cast<size_t>(k)] =
-              batch_logps[i];
-          step_msgs[static_cast<size_t>(w)]
-              .per_agent[static_cast<size_t>(k)] = batch_actions[i];
-        }
-      }
-
-      // Send phase: record each action in the replay log *before* any I/O
-      // (a crash at any later point replays it), then fire all steps so
-      // the workers run their slots concurrently. Send failures are left
-      // for the read phase, which observes the dead pipe and recovers.
-      for (int w : run_ids) {
-        replay_log_[static_cast<size_t>(w)].push_back(
-            step_msgs[static_cast<size_t>(w)]);
-        if (workers_[static_cast<size_t>(w)].connected) {
-          SendStep(w, step_msgs[static_cast<size_t>(w)]);
-        }
-      }
-
-      // Read phase, ascending worker order. Any fault — EOF, timeout,
-      // checksum/sequence mismatch, shape mismatch — funnels through
-      // AwaitResult's respawn-and-replay loop and comes back as the exact
-      // result the healthy worker would have produced.
-      for (int w : run_ids) {
-        WorkerStepResult next = AwaitResult(w);
-        const bool episode_done = next.done;
-        MultiAgentBuffer& b = wbufs[static_cast<size_t>(w)];
-        const WorkerStepResult& prev = cur[static_cast<size_t>(w)];
-        for (int k = 0; k < num_agents; ++k) {
-          AgentRollout& ar = b.agents[static_cast<size_t>(k)];
-          ar.obs.push_back(prev.observations[static_cast<size_t>(k)]);
-          ar.next_obs.push_back(next.observations[static_cast<size_t>(k)]);
-          ar.action_dir.push_back(
-              raw[static_cast<size_t>(w)][static_cast<size_t>(k)][0]);
-          ar.action_speed.push_back(
-              raw[static_cast<size_t>(w)][static_cast<size_t>(k)][1]);
-          ar.logp_old.push_back(
-              logps[static_cast<size_t>(w)][static_cast<size_t>(k)]);
-          ar.reward_ext.push_back(
-              static_cast<float>(next.rewards[static_cast<size_t>(k)]));
-          const std::vector<int32_t>& he =
-              next.he_neighbors[static_cast<size_t>(k)];
-          const std::vector<int32_t>& ho =
-              next.ho_neighbors[static_cast<size_t>(k)];
-          ar.he_neighbors.emplace_back(he.begin(), he.end());
-          ar.ho_neighbors.emplace_back(ho.begin(), ho.end());
-          ar.done.push_back(next.done ? 1 : 0);
-        }
-        b.states.push_back(prev.state);
-        b.next_states.push_back(next.state);
-        b.done.push_back(next.done ? 1 : 0);
-        if (episode_done) {
-          wmetrics[static_cast<size_t>(w)].push_back(next.metrics);
-          running[static_cast<size_t>(w)] = 0;
-        }
-        cur[static_cast<size_t>(w)] = std::move(next);
-      }
-
-      num_running = 0;
-      for (uint8_t flag : running) num_running += flag != 0 ? 1 : 0;
-      ++timeslot;
-    }
+  // Worker shards, merged in worker-index order at the end — the same
+  // merge as VecSampler, so the result never depends on worker timing.
+  const size_t w_count = static_cast<size_t>(num_workers_);
+  sinks_.clear();
+  shards_.assign(w_count, MultiAgentBuffer(primary_env_.num_agents()));
+  shard_metrics_.assign(w_count, {});
+  sinks_.reserve(w_count);
+  for (size_t w = 0; w < w_count; ++w) {
+    sinks_.emplace_back(shards_[w], shard_metrics_[w]);
   }
 
-  for (int w = 0; w < w_count; ++w) {
-    buffer.Append(wbufs[static_cast<size_t>(w)]);
-    metrics.insert(metrics.end(), wmetrics[static_cast<size_t>(w)].begin(),
-                   wmetrics[static_cast<size_t>(w)].end());
+  const int rounds = (episodes + num_workers_ - 1) / num_workers_;
+  std::vector<int> running;
+  try {
+    for (int r = 0; r < rounds; ++r) {
+      const int active = std::min(num_workers_, episodes - r * num_workers_);
+      for (int w = 0; w < active; ++w) {
+        running.push_back(w);
+        StartEpisode(w);
+      }
+      // Round-robin, one record per running worker in turn: the workers
+      // run concurrently and every read keeps the step deadline.
+      while (!running.empty()) {
+        for (size_t i = 0; i < running.size();) {
+          CheckStop(running[i]);
+          if (ReadRecord(running[i])) {
+            running.erase(running.begin() + static_cast<long>(i));
+          } else {
+            ++i;
+          }
+        }
+      }
+    }
+  } catch (...) {
+    // A stop request or an exhausted budget abandons the unfinished
+    // episodes with their transports, so a later Collect starts those
+    // workers afresh instead of reading their stale records.
+    for (int w : running) ResetTransport(workers_[static_cast<size_t>(w)]);
+    throw;
+  }
+
+  sinks_.clear();
+  for (size_t w = 0; w < w_count; ++w) {
+    buffer.Append(std::move(shards_[w]));
+    metrics.insert(metrics.end(), shard_metrics_[w].begin(),
+                   shard_metrics_[w].end());
   }
 }
 

@@ -1,7 +1,6 @@
 #ifndef AGSC_CORE_PROC_SAMPLER_H_
 #define AGSC_CORE_PROC_SAMPLER_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -25,15 +24,16 @@ namespace agsc::core {
 /// respawn budget (ProcSampler::Options::max_respawns) was exhausted, or a
 /// fresh spawn never produced a valid handshake. The trainer maps this to
 /// util::kExitWorkerFailed; anything short of it is absorbed invisibly by
-/// respawn-and-replay.
+/// respawning and re-running the episode.
 class ProcWorkerError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
 /// Crash-isolated counterpart of VecSampler: N agsc_worker processes, each
-/// owning one environment replica in its own address space, driven in
-/// lock-step over checksummed frames (core/worker_protocol). Two
+/// owning one environment replica and a copy of the actors in its own
+/// address space, running whole episodes (RunEpisode) and streaming one
+/// checksummed record per step back (core/worker_protocol). Two
 /// transports, one protocol:
 ///  * local (`--proc-workers N`): fork/exec subprocesses over stdin/stdout
 ///    pipes. A worker that dies, hangs past the step deadline, or emits a
@@ -44,40 +44,35 @@ class ProcWorkerError : public std::runtime_error {
 ///    SIGKILL-respawn path generalizes to disconnect-reconnect: any fault
 ///    drops the connection and the worker's next registration resumes the
 ///    slot.
-/// Either way the failed shard is replayed deterministically from its
-/// recorded episode-start RNG state plus the actions already issued — the
-/// final buffers and checkpoints are byte-identical to the fault-free run.
+/// Either way the failed worker's partial episode is dropped and the
+/// episode re-run from the same policy and start RNG states, so the final
+/// buffers and checkpoints are byte-identical to the fault-free run.
 ///
 /// Bit-exactness contract (pinned by proc_sampler_test and the chaos
 /// campaign): `--proc-workers N` and `--remote-workers N` produce rollout
 /// buffers, metrics, and checkpoints bit-identical to `--num-workers N`
 /// for the same seed. The pieces that make this hold:
-///  * identical RNG stream layout — worker w > 0 samples from
-///    Rng(seed).Split(2w) (trainer-side) and steps its env from
-///    Rng(seed).Split(2w+1) (worker-side, mirrored here); worker 0 aliases
-///    the primary trainer/env streams, so oracle checks and checkpoint
-///    save/load see the exact same streams as the in-process sampler;
-///  * action selection stays on the trainer: the same batched BatchActFn
-///    over the same rows in the same worker order, so every FP operation
-///    is literally the same computation;
-///  * floats cross the pipe as raw bit patterns, and results merge in
+///  * the same stream layout and schedule (Sampler); the trainer keeps
+///    every worker's streams and mirrors the end states each episode-end
+///    record reports, so checkpoints see the same streams in every mode;
+///  * the same loop (RunEpisode) over the same parameter bits;
+///  * floats cross the wire as raw bit patterns, and results merge in
 ///    worker-index order, independent of arrival timing.
 ///
-/// Unlike VecSampler's fail-fast watchdog (a hung in-process worker can be
-/// mid-write anywhere in the shared address space), a ProcSampler timeout
-/// is recoverable: the straggler owns nothing but its own replica, so it is
-/// killed and replayed like any other crash.
-class ProcSampler {
+/// The trainer reads the workers' record streams round-robin, one record
+/// per active worker in turn, each read bounded by the step deadline.
+/// Unlike VecSampler's fail-fast watchdog, a timeout here is recoverable:
+/// the straggler owns nothing but its own replica, so it is killed and its
+/// episode re-run like any other crash.
+class ProcSampler : public Sampler {
  public:
-  using BatchActFn = VecSampler::BatchActFn;
-
   struct Options {
     /// Path to the agsc_worker binary. Required in local mode; unused when
     /// listen_address is set (remote workers are launched externally).
     std::string worker_binary;
-    /// Deadline per result-frame read AND per frame write in ms; 0 = block
-    /// forever (a hung worker then hangs collection, exactly like a
-    /// watchdog-less VecSampler). A bounded write matters as much as a
+    /// Deadline per record read AND per policy/episode frame write in ms;
+    /// 0 = block forever (a hung worker then hangs collection, exactly
+    /// like a watchdog-less VecSampler). A bounded write matters as much as a
     /// bounded read: a peer that stops draining its pipe/socket would
     /// otherwise wedge the trainer's send path with no watchdog in front
     /// of it. Settable later via set_step_deadline_ms.
@@ -94,13 +89,12 @@ class ProcSampler {
     /// publish the port before workers exist.
     std::string listen_address;
     /// Remote mode: budget for one worker registration + init/hello
-    /// handshake (covers the reconnect-after-drop latency of a worker
-    /// replaying a long episode prefix too).
+    /// handshake (covers a worker's reconnect-after-drop latency too).
     long handshake_timeout_ms = 60000;
     /// Test hook: shrink each worker transport's send buffer to roughly
     /// this many bytes (F_SETPIPE_SZ on pipes, SO_SNDBUF on sockets; the
     /// kernel clamps to a page / doubles respectively). 0 = OS default.
-    /// Makes the write-stall fault reachable with small frames.
+    /// Makes the write-stall fault reachable with a small policy frame.
     int send_buffer_bytes = 0;
   };
 
@@ -110,45 +104,22 @@ class ProcSampler {
   /// checkpoint surgery, tests, --iterations 0 runs) costs no processes.
   ProcSampler(env::ScEnv& primary_env, util::Rng& primary_rng,
               int num_workers, uint64_t seed, Options options);
-  ~ProcSampler();
+  ~ProcSampler() override;
 
-  ProcSampler(const ProcSampler&) = delete;
-  ProcSampler& operator=(const ProcSampler&) = delete;
+  /// Sends `actors`' parameters to every worker that runs an episode, then
+  /// deals the episodes as VecSampler does. Episodes carry the primary
+  /// env's oracle fallbacks and the process's GEMM kernel choice. Throws
+  /// ProcWorkerError when the respawn budget runs out.
+  void Collect(int episodes, const RolloutActors& actors,
+               MultiAgentBuffer& buffer,
+               std::vector<env::Metrics>& metrics) override;
 
-  /// Collects `episodes` episodes through the worker fleet into `buffer` /
-  /// `metrics`, dealing episodes round-robin across workers — the same
-  /// schedule, stream use, and merge order as VecSampler::Collect. Throws
-  /// util::InterruptedError on a stop request and ProcWorkerError when the
-  /// respawn budget runs out.
-  void Collect(int episodes, const BatchActFn& act, MultiAgentBuffer& buffer,
-               std::vector<env::Metrics>& metrics);
-
-  void set_stop_check(std::function<bool()> stop_check) {
-    stop_check_ = std::move(stop_check);
+  /// The trainer-side mirror of worker `w`'s env stream (0 = the primary
+  /// env's); loading into it redirects that worker's next episode.
+  util::Rng& env_stream(int w) override {
+    return w == 0 ? primary_env_.rng()
+                  : env_mirrors_[static_cast<size_t>(w - 1)];
   }
-  void set_step_deadline_ms(long deadline_ms) {
-    options_.step_deadline_ms = deadline_ms;
-  }
-
-  int num_workers() const { return num_workers_; }
-
-  /// Trainer-side sampling stream of worker `w` (0 = the primary rng).
-  util::Rng& sample_rng(int w);
-
-  /// Extra per-worker streams in checkpoint order, identical to
-  /// VecSampler::SplitRngs(): [sample_1, env_1, sample_2, env_2, ...].
-  /// The env entries are the trainer-side mirrors of the workers' states;
-  /// loading into them redirects the next episode prefix.
-  std::vector<util::Rng*> SplitRngs();
-
-  /// Sticky: every later episode prefix tells its worker to run the naive
-  /// linear-scan environment (the oracle-fallback path). The primary env is
-  /// the trainer's to downgrade.
-  void DisableSpatialIndex() { naive_env_ = true; }
-
-  /// Sticky: every later episode prefix tells its worker to run the scalar
-  /// per-link channel path (the batched-channel oracle fallback).
-  void DisableChannelBatch() { scalar_channel_ = true; }
 
   /// Total worker respawns over this sampler's lifetime (tests/stats).
   int respawn_count() const { return lifetime_respawns_; }
@@ -167,6 +138,7 @@ class ProcSampler {
     uint64_t out_seq = 0;
     int incarnation = -1;  ///< Spawn/attach count - 1; -1 = never spawned.
     bool connected = false;
+    bool has_policy = false;  ///< This incarnation holds this Collect's.
   };
 
   /// A remote worker that registered while we were attaching a different
@@ -175,8 +147,6 @@ class ProcSampler {
     int fd = -1;
     std::unique_ptr<util::FrameReader> reader;
   };
-
-  util::Rng& env_stream(int w);
 
   /// Brings worker `w` up with retry/backoff: fork/exec (local) or claim a
   /// registration (remote), then the kMsgInit/kMsgHello handshake. Throws
@@ -198,53 +168,50 @@ class ProcSampler {
   /// ResetTransport + count one respawn against the Collect budget (throws
   /// ProcWorkerError when it is exhausted) + backoff sleep.
   void FailWorker(int w, const std::string& why);
+  /// Cuts a straggler off hard, so it cannot write a stale frame into a
+  /// successor's conversation: SIGKILL locally, socket shutdown remotely.
+  void CutOff(Worker& wk);
 
-  /// Blocks until worker `w` delivers one valid result for its pending
-  /// request. Never returns a damaged or out-of-order frame: any fault —
-  /// EOF, timeout, checksum/sequence/shape mismatch — runs through
-  /// FailWorker + SpawnWorker + a prefix that replays the episode so far,
-  /// and the loop re-reads until a valid result arrives or the budget
-  /// throws. On success the worker's env-stream mirror is updated.
-  WorkerStepResult AwaitResult(int w);
-
-  bool SendPrefix(int w);
-  bool SendStep(int w, const WorkerActions& actions);
-  /// Reads one kMsgStepResult with `timeout_ms`, decodes and shape-checks
-  /// it; false on any fault (timeout, EOF, corruption, wrong type/shape).
-  bool ReadResult(int w, long timeout_ms, WorkerStepResult& out,
-                  std::string* why);
-
-  /// Options::step_deadline_ms translated to the IPC sentinel (0 = "block
-  /// forever" becomes -1); bounds every steady-state frame write.
-  long write_timeout_ms() const {
-    return options_.step_deadline_ms > 0 ? options_.step_deadline_ms : -1;
-  }
+  /// Writes one frame to worker w within the step deadline; on failure
+  /// the worker is cut off and marked disconnected.
+  bool Send(int w, uint32_t type, const std::string& payload);
+  /// Starts worker w's next episode from the current stream mirrors:
+  /// spawns it if needed, sends the policy if this incarnation has not seen
+  /// it this Collect, then the episode frame. Write failures surface as a
+  /// failed read.
+  void StartEpisode(int w);
+  /// Drops worker w's partial episode, fails the worker and starts the
+  /// same episode on a fresh incarnation.
+  void Restart(int w, const std::string& why);
+  /// Reads worker w's next record into its shard. Returns true once the
+  /// episode has ended (streams mirrored); false when more records follow.
+  /// Any fault restarts the episode and also returns false.
+  bool ReadRecord(int w);
+  /// Checks decoded observations and state against the env's shapes.
+  bool ValidRows(const std::vector<std::vector<float>>& obs,
+                 const std::vector<float>& state) const;
+  /// ValidRows, plus every neighbor id names an agent.
+  bool ValidRecord(const StepRecord& record) const;
 
   env::ScEnv& primary_env_;
-  util::Rng& primary_rng_;
-  const int num_workers_;
   Options options_;
-  std::function<bool()> stop_check_;
 
   util::TcpListener listener_;                    ///< Remote mode only.
   std::unordered_map<int, PendingConn> parked_;   ///< Remote mode only.
 
-  std::vector<util::Rng> sample_rngs_;  ///< Workers 1..W-1.
-  std::vector<util::Rng> env_mirrors_;  ///< Workers 1..W-1 (0 = env_.rng()).
+  std::vector<util::Rng> env_mirrors_;  ///< Workers 1..W-1.
   std::vector<Worker> workers_;
-
-  /// Per-worker episode replay state: the env-RNG state the running episode
-  /// started from and every action issued since.
-  std::vector<std::array<uint64_t, util::Rng::kStateWords>> episode_rng_;
-  std::vector<std::vector<WorkerActions>> replay_log_;
   std::vector<int> consecutive_failures_;
-  /// 1 while worker w's pending reply answers an episode prefix (reset or
-  /// crash replay) rather than a single step — prefix replies get a larger
-  /// read deadline covering env rebuild + replay.
-  std::vector<uint8_t> pending_prefix_;
 
-  bool naive_env_ = false;
-  bool scalar_channel_ = false;
+  WorkerInit init_;  ///< Actor fields refreshed per Collect.
+  /// Per-Collect state: the encoded policy, each worker's shard, and the
+  /// record being decoded.
+  std::string policy_;
+  std::vector<MultiAgentBuffer> shards_;
+  std::vector<std::vector<env::Metrics>> shard_metrics_;
+  std::vector<BufferSink> sinks_;
+  StepRecord record_;
+
   int collect_respawns_ = 0;
   int lifetime_respawns_ = 0;
 };

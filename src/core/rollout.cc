@@ -1,6 +1,8 @@
 #include "core/rollout.h"
 
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -24,14 +26,22 @@ void AgentRollout::Clear() {
 
 namespace {
 
+/// Moves `src`'s elements after `dst`'s (taking the whole vector when
+/// `dst` is empty) and leaves `src` empty.
 template <typename T>
-void AppendVec(std::vector<T>& dst, const std::vector<T>& src) {
-  dst.insert(dst.end(), src.begin(), src.end());
+void AppendVec(std::vector<T>& dst, std::vector<T>& src) {
+  if (dst.empty()) {
+    dst.swap(src);
+  } else {
+    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+               std::make_move_iterator(src.end()));
+  }
+  src.clear();
 }
 
 }  // namespace
 
-void AgentRollout::Append(const AgentRollout& other) {
+void AgentRollout::Append(AgentRollout&& other) {
   AppendVec(obs, other.obs);
   AppendVec(next_obs, other.next_obs);
   AppendVec(action_dir, other.action_dir);
@@ -47,11 +57,13 @@ void AgentRollout::Append(const AgentRollout& other) {
   AppendVec(done, other.done);
 }
 
-void MultiAgentBuffer::Append(const MultiAgentBuffer& other) {
+void MultiAgentBuffer::Append(MultiAgentBuffer&& other) {
   if (other.agents.size() != agents.size()) {
     throw std::invalid_argument("MultiAgentBuffer::Append: agent count");
   }
-  for (size_t k = 0; k < agents.size(); ++k) agents[k].Append(other.agents[k]);
+  for (size_t k = 0; k < agents.size(); ++k) {
+    agents[k].Append(std::move(other.agents[k]));
+  }
   AppendVec(states, other.states);
   AppendVec(next_states, other.next_states);
   AppendVec(reward_all, other.reward_all);

@@ -29,10 +29,10 @@ struct AgentRollout {
   size_t size() const { return obs.size(); }
   void Clear();
 
-  /// Appends every stream of `other` after this rollout's streams (used by
-  /// the vectorized sampler to merge per-worker rollouts in stable worker
-  /// order).
-  void Append(const AgentRollout& other);
+  /// Moves every stream of `other` after this rollout's streams, leaving
+  /// `other` empty (the samplers merge per-worker rollouts this way, in
+  /// stable worker order).
+  void Append(AgentRollout&& other);
 
   /// Packs rows `indices` of `obs` into a batch tensor.
   nn::Tensor ObsBatch(const std::vector<int>& indices) const;
@@ -56,9 +56,9 @@ struct MultiAgentBuffer {
   size_t size() const { return states.size(); }
   void Clear();
 
-  /// Appends `other` (same agent count) after this buffer's streams,
-  /// agent-by-agent and for the global-state streams.
-  void Append(const MultiAgentBuffer& other);
+  /// Moves `other` (same agent count) after this buffer's streams,
+  /// agent-by-agent and for the global-state streams, leaving it empty.
+  void Append(MultiAgentBuffer&& other);
 
   nn::Tensor StateBatch(const std::vector<int>& indices) const;
   nn::Tensor NextStateBatch(const std::vector<int>& indices) const;

@@ -13,234 +13,237 @@
 
 namespace agsc::core {
 
-namespace {
-// Stream ids for Rng(seed).Split(): worker w > 0 draws its sampling stream
-// from id 2w and its environment stream from id 2w+1. Worker 0 uses the
-// primary streams and owns no split ids.
-uint64_t SampleStreamId(int w) { return 2 * static_cast<uint64_t>(w); }
-uint64_t EnvStreamId(int w) { return 2 * static_cast<uint64_t>(w) + 1; }
-}  // namespace
+std::vector<float> RolloutActors::Input(int k,
+                                        const std::vector<float>& obs) const {
+  if (!share_params) return obs;
+  std::vector<float> input = obs;
+  for (size_t j = 0; j < per_agent.size(); ++j) {
+    input.push_back(static_cast<int>(j) == k ? 1.0f : 0.0f);
+  }
+  return input;
+}
+
+void RunEpisode(env::ScEnv& env, const RolloutActors& actors, util::Rng& rng,
+                EpisodeSink& sink) {
+  const size_t n = static_cast<size_t>(env.num_agents());
+  // `cur`/`next` are double-buffered: Step writes into next reusing its
+  // storage, then the two swap, so the loop allocates nothing in the env.
+  env::StepResult cur, next;
+  env.Reset(cur);
+  StepRecord record;
+  record.actions.resize(n);
+  record.logps.resize(n);
+  record.rewards.resize(n);
+  record.he_neighbors.resize(n);
+  record.ho_neighbors.resize(n);
+  std::vector<env::UvAction> uv(n);
+  do {
+    for (size_t k = 0; k < n; ++k) {
+      const int agent = static_cast<int>(k);
+      const std::vector<float> a = actors.per_agent[k]->Act(
+          actors.Input(agent, cur.observations[k]), rng,
+          /*deterministic=*/false, &record.logps[k]);
+      record.actions[k] = {a[0], a[1]};
+      uv[k] = {a[0], a[1]};
+    }
+    env.Step(uv, next);
+    // o_t and s_t move into the record; cur's old buffers become next
+    // step's scratch after the swap below.
+    record.obs.swap(cur.observations);
+    record.state.swap(cur.state);
+    for (size_t k = 0; k < n; ++k) {
+      const int agent = static_cast<int>(k);
+      record.rewards[k] = static_cast<float>(next.rewards[k]);
+      record.he_neighbors[k] = env.HeterogeneousNeighbors(agent);
+      record.ho_neighbors[k] = env.HomogeneousNeighbors(agent);
+    }
+    record.done = next.done;
+    sink.Step(record);
+    std::swap(cur, next);
+  } while (!cur.done);
+  EpisodeEnd end;
+  end.obs = std::move(cur.observations);
+  end.state = std::move(cur.state);
+  end.metrics = env.EpisodeMetrics();
+  end.env_rng = env.rng().SaveState();
+  end.sample_rng = rng.SaveState();
+  sink.End(end);
+}
+
+void BufferSink::PushSuccessor(const std::vector<std::vector<float>>& obs,
+                               const std::vector<float>& state) {
+  for (size_t k = 0; k < buffer_.agents.size(); ++k) {
+    buffer_.agents[k].next_obs.push_back(obs[k]);
+  }
+  buffer_.next_states.push_back(state);
+}
+
+void BufferSink::Step(const StepRecord& r) {
+  if (open_steps() > 0) PushSuccessor(r.obs, r.state);
+  for (size_t k = 0; k < buffer_.agents.size(); ++k) {
+    AgentRollout& ar = buffer_.agents[k];
+    ar.obs.push_back(r.obs[k]);
+    ar.action_dir.push_back(r.actions[k][0]);
+    ar.action_speed.push_back(r.actions[k][1]);
+    ar.logp_old.push_back(r.logps[k]);
+    ar.reward_ext.push_back(r.rewards[k]);
+    ar.he_neighbors.push_back(r.he_neighbors[k]);
+    ar.ho_neighbors.push_back(r.ho_neighbors[k]);
+    ar.done.push_back(r.done ? 1 : 0);
+  }
+  buffer_.states.push_back(r.state);
+  buffer_.done.push_back(r.done ? 1 : 0);
+}
+
+void BufferSink::End(const EpisodeEnd& end) {
+  PushSuccessor(end.obs, end.state);
+  metrics_.push_back(end.metrics);
+  episode_start_ = buffer_.size();
+}
+
+void BufferSink::DropPartial() {
+  const size_t rows = episode_start_;
+  for (AgentRollout& ar : buffer_.agents) {
+    ar.obs.resize(rows);
+    ar.next_obs.resize(rows);
+    ar.action_dir.resize(rows);
+    ar.action_speed.resize(rows);
+    ar.logp_old.resize(rows);
+    ar.reward_ext.resize(rows);
+    ar.he_neighbors.resize(rows);
+    ar.ho_neighbors.resize(rows);
+    ar.done.resize(rows);
+  }
+  buffer_.states.resize(rows);
+  buffer_.next_states.resize(rows);
+  buffer_.done.resize(rows);
+}
+
+Sampler::Sampler(util::Rng& primary_rng, int num_workers, uint64_t seed)
+    : primary_rng_(primary_rng), num_workers_(num_workers) {
+  if (num_workers < 1) {
+    throw std::invalid_argument("sampler: num_workers must be >= 1");
+  }
+  const util::Rng base(seed);
+  for (int w = 1; w < num_workers; ++w) {
+    sample_rngs_.push_back(base.Split(2 * static_cast<uint64_t>(w)));
+  }
+}
+
+std::vector<util::Rng*> Sampler::SplitRngs() {
+  std::vector<util::Rng*> rngs;
+  for (int w = 1; w < num_workers_; ++w) {
+    rngs.push_back(&sample_rng(w));
+    rngs.push_back(&env_stream(w));
+  }
+  return rngs;
+}
+
+void Sampler::CheckStop(int worker) const {
+  if (stop_check_ && stop_check_()) {
+    std::ostringstream msg;
+    msg << "rollout interrupted by stop request (worker " << worker
+        << "); partial episodes discarded";
+    throw util::InterruptedError(msg.str());
+  }
+}
 
 VecSampler::VecSampler(env::ScEnv& primary_env, util::Rng& primary_rng,
                        int num_workers, uint64_t seed)
-    : primary_env_(primary_env),
-      primary_rng_(primary_rng),
-      num_workers_(num_workers),
+    : Sampler(primary_rng, num_workers, seed),
+      primary_env_(primary_env),
       // With one worker the pool runs inline on the caller's thread: the
       // single-worker path adds no threads and no handoff overhead.
       pool_(num_workers > 1 ? num_workers : 0) {
-  if (num_workers < 1) {
-    throw std::invalid_argument("VecSampler: num_workers must be >= 1");
-  }
   const util::Rng base(seed);
-  replica_rngs_.reserve(static_cast<size_t>(num_workers - 1));
   for (int w = 1; w < num_workers; ++w) {
     replica_envs_.push_back(std::make_unique<env::ScEnv>(primary_env));
     replica_envs_.back()->rng() = base.Split(EnvStreamId(w));
-    replica_rngs_.push_back(base.Split(SampleStreamId(w)));
   }
 }
 
 VecSampler::~VecSampler() = default;
 
-util::Rng& VecSampler::sample_rng(int w) {
-  return w == 0 ? primary_rng_ : replica_rngs_[static_cast<size_t>(w - 1)];
-}
-
-env::ScEnv& VecSampler::worker_env(int w) {
-  return w == 0 ? primary_env_ : *replica_envs_[static_cast<size_t>(w - 1)];
-}
-
-std::vector<util::Rng*> VecSampler::SplitRngs() {
-  std::vector<util::Rng*> rngs;
-  rngs.reserve(2 * replica_rngs_.size());
-  for (int w = 1; w < num_workers_; ++w) {
-    rngs.push_back(&replica_rngs_[static_cast<size_t>(w - 1)]);
-    rngs.push_back(&replica_envs_[static_cast<size_t>(w - 1)]->rng());
-  }
-  return rngs;
-}
-
 namespace {
 
-// Worker-local collection state. Held behind a shared_ptr that every pool
-// task co-owns: if a watchdog deadline expires while a task is hung, Collect
-// throws and unwinds, but the straggler may still resume and finish its
-// writes — they must land in storage that outlives the call frame.
+// Worker-local results. Held behind a shared_ptr that every pool task
+// co-owns: if the watchdog fires while a task is hung, Collect throws and
+// unwinds, but the straggler may still resume and finish its writes — they
+// must land in storage that outlives the call frame.
 struct CollectState {
+  RolloutActors actors;
   std::vector<MultiAgentBuffer> wbufs;
   std::vector<std::vector<env::Metrics>> wmetrics;
-  // `cur`/`nxt` are double-buffered StepResults: each step writes into
-  // nxt[w] (reusing its storage via the out-param Step) and then swaps, so
-  // the steady-state loop performs no per-step allocation inside the
-  // environment. Element w is only touched by worker w's tasks (or the
-  // caller's thread between ParallelFor barriers).
-  std::vector<env::StepResult> cur;
-  std::vector<env::StepResult> nxt;
-  std::vector<std::vector<env::UvAction>> actions;
-  std::vector<std::vector<std::array<float, 2>>> raw;
-  std::vector<std::vector<float>> logps;
-  std::vector<uint8_t> running;
-  std::vector<int> run_ids;
 
-  CollectState(int w_count, int num_agents)
-      : wmetrics(static_cast<size_t>(w_count)),
-        cur(static_cast<size_t>(w_count)),
-        nxt(static_cast<size_t>(w_count)),
-        actions(static_cast<size_t>(w_count),
-                std::vector<env::UvAction>(static_cast<size_t>(num_agents))),
-        raw(static_cast<size_t>(w_count),
-            std::vector<std::array<float, 2>>(
-                static_cast<size_t>(num_agents))),
-        logps(static_cast<size_t>(w_count),
-              std::vector<float>(static_cast<size_t>(num_agents))) {
+  CollectState(const RolloutActors& a, int w_count, int num_agents)
+      : actors(a), wmetrics(static_cast<size_t>(w_count)) {
     wbufs.reserve(static_cast<size_t>(w_count));
     for (int w = 0; w < w_count; ++w) wbufs.emplace_back(num_agents);
   }
 };
 
-// Re-throws a pool-level watchdog timeout with sampler context: which
-// worker's environment was stuck and at which timeslot of which round.
-[[noreturn]] void RethrowWithContext(const util::WatchdogTimeoutError& e,
-                                     const char* phase, int worker, int round,
-                                     int timeslot) {
-  std::ostringstream msg;
-  msg << "rollout watchdog: worker " << worker << " stalled in " << phase
-      << " (round " << round << ", timeslot " << timeslot << "): " << e.what();
-  throw util::WatchdogTimeoutError(msg.str(), e.task_index(), e.task_started(),
-                                   e.elapsed_ms(), e.deadline_ms());
-}
+/// A worker's shard, plus the per-step supervision: the injected stall
+/// (the watchdog's test fault), the stop check and the heartbeat.
+class WorkerSink : public BufferSink {
+ public:
+  WorkerSink(MultiAgentBuffer& buffer, std::vector<env::Metrics>& metrics,
+             std::function<void()> check_stop)
+      : BufferSink(buffer, metrics), check_stop_(std::move(check_stop)) {}
+
+  void Step(const StepRecord& record) override {
+    const long stall = util::FaultInjector::Instance().NextStallMs();
+    if (stall > 0) std::this_thread::sleep_for(std::chrono::milliseconds(stall));
+    check_stop_();
+    util::ThreadPool::Heartbeat();
+    BufferSink::Step(record);
+  }
+
+ private:
+  std::function<void()> check_stop_;
+};
 
 }  // namespace
 
-void VecSampler::Collect(int episodes, const BatchActFn& act,
+void VecSampler::Collect(int episodes, const RolloutActors& actors,
                          MultiAgentBuffer& buffer,
                          std::vector<env::Metrics>& metrics) {
   if (episodes <= 0) return;
-  const int num_agents = primary_env_.num_agents();
-  const int w_count = num_workers_;
-
-  // Worker-local outputs and step scratch; merged in worker-index order at
-  // the end so the result never depends on pool scheduling. See CollectState
-  // for why this lives behind a shared_ptr.
-  auto st = std::make_shared<CollectState>(w_count, num_agents);
-
-  // Reusable scratch for the batched action calls — caller-thread only, so
-  // it can stay on the stack.
-  std::vector<const std::vector<float>*> rows;
-  std::vector<util::Rng*> rngs;
-  std::vector<std::array<float, 2>> batch_actions;
-  std::vector<float> batch_logps;
-
-  const auto check_stop = [&](int round, int timeslot) {
-    if (stop_check_ && stop_check_()) {
-      std::ostringstream msg;
-      msg << "rollout interrupted by stop request (round " << round
-          << ", timeslot " << timeslot << "); partial episodes discarded";
-      throw util::InterruptedError(msg.str());
+  for (const auto& replica : replica_envs_) {
+    if (!primary_env_.config().use_spatial_index) {
+      replica->DisableSpatialIndex();
     }
+    if (!primary_env_.config().use_channel_batch) {
+      replica->DisableChannelBatch();
+    }
+  }
+  const int w_count = num_workers_;
+  auto st = std::make_shared<CollectState>(actors, w_count,
+                                           primary_env_.num_agents());
+  const auto run_episode = [this, st](int w) {
+    WorkerSink sink(st->wbufs[static_cast<size_t>(w)],
+                    st->wmetrics[static_cast<size_t>(w)],
+                    [this, w] { CheckStop(w); });
+    RunEpisode(worker_env(w), st->actors, sample_rng(w), sink);
   };
-
-  // Episodes are dealt round-robin, so each round's active workers form a
-  // prefix 0..active-1 of the worker indices.
+  // One task per episode; a round gives each worker its next episode.
   const int rounds = (episodes + w_count - 1) / w_count;
   for (int r = 0; r < rounds; ++r) {
-    check_stop(r, 0);
     const int active = std::min(w_count, episodes - r * w_count);
     try {
-      pool_.ParallelFor(
-          active, [this, st](int w) { worker_env(w).Reset(st->cur[w]); },
-          step_deadline_ms_);
+      pool_.ParallelFor(active, run_episode, step_deadline_ms_);
     } catch (const util::WatchdogTimeoutError& e) {
-      RethrowWithContext(e, "Reset", e.task_index(), r, 0);
-    }
-
-    st->running.assign(static_cast<size_t>(active), 1);
-    int num_running = active;
-    int timeslot = 0;
-    while (num_running > 0) {
-      check_stop(r, timeslot);
-      st->run_ids.clear();
-      for (int w = 0; w < active; ++w) {
-        if (st->running[static_cast<size_t>(w)]) st->run_ids.push_back(w);
-      }
-
-      // Batched action selection on the caller's thread: one forward per
-      // agent covering all running workers, each row sampled from its own
-      // worker stream in ascending worker order.
-      for (int k = 0; k < num_agents; ++k) {
-        rows.clear();
-        rngs.clear();
-        for (int w : st->run_ids) {
-          rows.push_back(&st->cur[w].observations[static_cast<size_t>(k)]);
-          rngs.push_back(&sample_rng(w));
-        }
-        batch_actions.assign(st->run_ids.size(), {});
-        batch_logps.assign(st->run_ids.size(), 0.0f);
-        act(k, rows, rngs, batch_actions, batch_logps);
-        for (size_t i = 0; i < st->run_ids.size(); ++i) {
-          const int w = st->run_ids[i];
-          st->raw[w][static_cast<size_t>(k)] = batch_actions[i];
-          st->logps[w][static_cast<size_t>(k)] = batch_logps[i];
-          st->actions[w][static_cast<size_t>(k)] = {batch_actions[i][0],
-                                                    batch_actions[i][1]};
-        }
-      }
-
-      // Parallel environment steps. Every write below is to worker-local
-      // state, so the outcome is independent of which pool thread runs
-      // which worker.
-      const auto step_task = [this, st, num_agents](int i) {
-        const long stall = util::FaultInjector::Instance().NextStallMs();
-        if (stall > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(stall));
-        }
-        const int w = st->run_ids[static_cast<size_t>(i)];
-        env::ScEnv& e = worker_env(w);
-        e.Step(st->actions[w], st->nxt[w]);
-        const env::StepResult& next = st->nxt[w];
-        MultiAgentBuffer& b = st->wbufs[static_cast<size_t>(w)];
-        for (int k = 0; k < num_agents; ++k) {
-          AgentRollout& ar = b.agents[static_cast<size_t>(k)];
-          ar.obs.push_back(st->cur[w].observations[static_cast<size_t>(k)]);
-          ar.next_obs.push_back(next.observations[static_cast<size_t>(k)]);
-          ar.action_dir.push_back(st->raw[w][static_cast<size_t>(k)][0]);
-          ar.action_speed.push_back(st->raw[w][static_cast<size_t>(k)][1]);
-          ar.logp_old.push_back(st->logps[w][static_cast<size_t>(k)]);
-          ar.reward_ext.push_back(
-              static_cast<float>(next.rewards[static_cast<size_t>(k)]));
-          ar.he_neighbors.push_back(e.HeterogeneousNeighbors(k));
-          ar.ho_neighbors.push_back(e.HomogeneousNeighbors(k));
-          ar.done.push_back(next.done ? 1 : 0);
-        }
-        b.states.push_back(st->cur[w].state);
-        b.next_states.push_back(next.state);
-        b.done.push_back(next.done ? 1 : 0);
-        const bool episode_done = next.done;
-        // Promote next -> cur; the displaced buffers become next step's
-        // scratch, so their capacity is reused instead of reallocated.
-        std::swap(st->cur[w], st->nxt[w]);
-        if (episode_done) {
-          st->wmetrics[static_cast<size_t>(w)].push_back(e.EpisodeMetrics());
-          st->running[static_cast<size_t>(w)] = 0;
-        }
-      };
-      try {
-        pool_.ParallelFor(static_cast<int>(st->run_ids.size()), step_task,
-                          step_deadline_ms_);
-      } catch (const util::WatchdogTimeoutError& e) {
-        const int w = st->run_ids[static_cast<size_t>(e.task_index())];
-        RethrowWithContext(e, "Step", w, r, timeslot);
-      }
-
-      num_running = 0;
-      for (uint8_t flag : st->running) num_running += flag != 0 ? 1 : 0;
-      ++timeslot;
+      std::ostringstream msg;
+      msg << "rollout watchdog: worker " << e.task_index()
+          << " stalled in episode " << r * w_count + e.task_index() << ": "
+          << e.what();
+      throw util::WatchdogTimeoutError(msg.str(), e.task_index(),
+                                       e.task_started(), e.elapsed_ms(),
+                                       e.deadline_ms());
     }
   }
 
   for (int w = 0; w < w_count; ++w) {
-    buffer.Append(st->wbufs[static_cast<size_t>(w)]);
+    buffer.Append(std::move(st->wbufs[static_cast<size_t>(w)]));
     metrics.insert(metrics.end(), st->wmetrics[static_cast<size_t>(w)].begin(),
                    st->wmetrics[static_cast<size_t>(w)].end());
   }

@@ -9,23 +9,13 @@ namespace {
 using util::WireReader;
 using util::WireWriter;
 
-void PutRngState(WireWriter& w,
-                 const std::array<uint64_t, util::Rng::kStateWords>& state) {
+void PutRngState(WireWriter& w, const RngState& state) {
   for (uint64_t word : state) w.U64(word);
 }
 
-bool GetRngState(WireReader& r,
-                 std::array<uint64_t, util::Rng::kStateWords>& state) {
+bool GetRngState(WireReader& r, RngState& state) {
   for (uint64_t& word : state) word = r.U64();
   return r.ok();
-}
-
-void PutActions(WireWriter& w, const WorkerActions& actions) {
-  w.U32(static_cast<uint32_t>(actions.per_agent.size()));
-  for (const std::array<float, 2>& a : actions.per_agent) {
-    w.F32(a[0]);
-    w.F32(a[1]);
-  }
 }
 
 /// Reads a peer-sent entry count. Rejects it above `limit`, or when the
@@ -37,21 +27,48 @@ bool GetCount(WireReader& r, uint32_t limit, size_t min_entry_bytes,
   return r.ok() && n <= limit && n <= r.remaining() / min_entry_bytes;
 }
 
-// Smallest encodings: an action is two f32s, a WorkerActions is its u32
-// count, and an F32Vec/I32Vec is its u64 length.
-constexpr size_t kActionBytes = 2 * sizeof(float);
-constexpr size_t kMinActionsBytes = sizeof(uint32_t);
-constexpr size_t kMinVecBytes = sizeof(uint64_t);
+// Peer-sent agent counts and layer counts stay below these.
+constexpr uint32_t kMaxAgents = 1u << 16;
+constexpr uint32_t kMaxHiddenLayers = 64;
+constexpr int kMaxLayerWidth = 1 << 16;
 
-bool GetActions(WireReader& r, WorkerActions& actions) {
-  uint32_t n = 0;
-  if (!GetCount(r, 1u << 16, kActionBytes, n)) return false;
-  actions.per_agent.resize(n);
-  for (std::array<float, 2>& a : actions.per_agent) {
-    a[0] = r.F32();
-    a[1] = r.F32();
+// Smallest encodings: an F32Vec/I32Vec is its u64 length; a step record's
+// agent is an observation, four f32s and two neighbor lists.
+constexpr size_t kMinVecBytes = sizeof(uint64_t);
+constexpr size_t kMinRecordAgentBytes = 3 * kMinVecBytes + 4 * sizeof(float);
+
+/// `n` observation rows; the count was bounded by the caller.
+bool GetRows(WireReader& r, uint32_t n, std::vector<std::vector<float>>& rows) {
+  rows.resize(n);
+  for (std::vector<float>& row : rows) {
+    if (!r.F32Vec(row)) return false;
   }
-  return r.ok();
+  return true;
+}
+
+bool GetNeighbors(WireReader& r, uint32_t n,
+                  std::vector<std::vector<int>>& lists) {
+  lists.resize(n);
+  for (std::vector<int>& list : lists) {
+    if (!r.I32Vec(list)) return false;
+  }
+  return true;
+}
+
+void PutMetrics(WireWriter& w, const env::Metrics& m) {
+  w.F64(m.data_collection_ratio);
+  w.F64(m.data_loss_ratio);
+  w.F64(m.energy_consumption_ratio);
+  w.F64(m.geographical_fairness);
+  w.F64(m.efficiency);
+}
+
+void GetMetrics(WireReader& r, env::Metrics& m) {
+  m.data_collection_ratio = r.F64();
+  m.data_loss_ratio = r.F64();
+  m.energy_consumption_ratio = r.F64();
+  m.geographical_fairness = r.F64();
+  m.efficiency = r.F64();
 }
 
 }  // namespace
@@ -104,6 +121,9 @@ std::string EncodeWorkerInit(const WorkerInit& init) {
   w.U32(c.use_spatial_index ? 1 : 0);
   w.U32(c.use_channel_batch ? 1 : 0);
   w.U32(c.env_fast_math ? 1 : 0);
+  w.U32(init.share_params ? 1 : 0);
+  w.U32(static_cast<uint32_t>(init.actor_hidden.size()));
+  for (int width : init.actor_hidden) w.I32(width);
   return w.Take();
 }
 
@@ -160,6 +180,14 @@ bool DecodeWorkerInit(const std::string& payload, WorkerInit& out) {
   c.use_spatial_index = r.U32() != 0;
   c.use_channel_batch = r.U32() != 0;
   c.env_fast_math = r.U32() != 0;
+  out.share_params = r.U32() != 0;
+  uint32_t layers = 0;
+  if (!GetCount(r, kMaxHiddenLayers, sizeof(int32_t), layers)) return false;
+  out.actor_hidden.resize(layers);
+  for (int& width : out.actor_hidden) {
+    width = r.I32();
+    if (width < 1 || width > kMaxLayerWidth) return false;
+  }
   return r.Done();
 }
 
@@ -199,100 +227,150 @@ bool DecodeWorkerHello(const std::string& payload, WorkerHello& out) {
   return r.Done();
 }
 
-std::string EncodeEpisodePrefix(const EpisodePrefix& prefix) {
+std::vector<GaussianActor> BuildWorkerActors(const WorkerInit& init,
+                                             int num_agents, int obs_dim) {
+  NetConfig net;
+  net.hidden = init.actor_hidden;
+  const int input_dim = obs_dim + (init.share_params ? num_agents : 0);
+  const int count = init.share_params ? 1 : num_agents;
+  // The initial weights are overwritten by the first kMsgPolicy.
+  util::Rng rng(0);
+  std::vector<GaussianActor> actors;
+  actors.reserve(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    actors.emplace_back(input_dim, env::ScEnv::kActionDim, net, rng);
+  }
+  return actors;
+}
+
+std::string EncodeWorkerPolicy(const std::vector<const GaussianActor*>& nets) {
   WireWriter w;
-  w.U32(prefix.flags);
-  PutRngState(w, prefix.rng_state);
-  w.U32(static_cast<uint32_t>(prefix.replay.size()));
-  for (const WorkerActions& actions : prefix.replay) PutActions(w, actions);
+  w.U32(static_cast<uint32_t>(nets.size()));
+  for (const GaussianActor* net : nets) {
+    const std::vector<nn::Variable> params = net->Parameters();
+    w.U32(static_cast<uint32_t>(params.size()));
+    for (const nn::Variable& p : params) {
+      w.I32(p.rows());
+      w.I32(p.cols());
+      for (int i = 0; i < p.value().size(); ++i) w.F32(p.value()[i]);
+    }
+  }
   return w.Take();
 }
 
-bool DecodeEpisodePrefix(const std::string& payload, EpisodePrefix& out) {
+bool DecodeWorkerPolicy(const std::string& payload,
+                        const std::vector<GaussianActor*>& nets) {
+  // The exact size the Init architecture implies, checked before anything
+  // is read: a frame claiming more networks, tensors or floats than the
+  // worker built is rejected from its length alone.
+  std::vector<std::vector<nn::Variable>> params;
+  size_t expected = sizeof(uint32_t);
+  for (const GaussianActor* net : nets) {
+    params.push_back(net->Parameters());
+    expected += sizeof(uint32_t);
+    for (const nn::Variable& p : params.back()) {
+      expected += 2 * sizeof(int32_t) +
+                  static_cast<size_t>(p.value().size()) * sizeof(float);
+    }
+  }
+  if (payload.size() != expected) return false;
+  // Two walks: the first only checks every count and shape, so a rejected
+  // frame leaves the networks untouched.
+  const auto walk = [&](bool write) {
+    WireReader r(payload);
+    if (r.U32() != params.size()) return false;
+    for (std::vector<nn::Variable>& net_params : params) {
+      if (r.U32() != net_params.size()) return false;
+      for (nn::Variable& p : net_params) {
+        if (r.I32() != p.rows() || r.I32() != p.cols()) return false;
+        nn::Tensor& t = p.mutable_value();
+        for (int i = 0; i < t.size(); ++i) {
+          const float v = r.F32();
+          if (write) t[i] = v;
+        }
+      }
+    }
+    return r.Done();
+  };
+  return walk(false) && walk(true);
+}
+
+std::string EncodeWorkerEpisode(const WorkerEpisode& episode) {
+  WireWriter w;
+  w.U32(episode.flags);
+  PutRngState(w, episode.env_rng);
+  PutRngState(w, episode.sample_rng);
+  return w.Take();
+}
+
+bool DecodeWorkerEpisode(const std::string& payload, WorkerEpisode& out) {
   WireReader r(payload);
   out.flags = r.U32();
-  if (!GetRngState(r, out.rng_state)) return false;
-  uint32_t steps = 0;
-  if (!GetCount(r, 1u << 20, kMinActionsBytes, steps)) return false;
-  out.replay.resize(steps);
-  for (WorkerActions& actions : out.replay) {
-    if (!GetActions(r, actions)) return false;
-  }
-  return r.Done();
+  return GetRngState(r, out.env_rng) && GetRngState(r, out.sample_rng) &&
+         r.Done();
 }
 
-std::string EncodeWorkerActions(const WorkerActions& actions) {
+std::string EncodeStepRecord(const StepRecord& record) {
   WireWriter w;
-  PutActions(w, actions);
+  w.U32(record.done ? 1 : 0);
+  w.U32(static_cast<uint32_t>(record.obs.size()));
+  for (const std::vector<float>& obs : record.obs) w.F32Vec(obs);
+  w.F32Vec(record.state);
+  for (size_t k = 0; k < record.obs.size(); ++k) {
+    w.F32(record.actions[k][0]);
+    w.F32(record.actions[k][1]);
+    w.F32(record.logps[k]);
+    w.F32(record.rewards[k]);
+  }
+  for (const std::vector<int>& ids : record.he_neighbors) w.I32Vec(ids);
+  for (const std::vector<int>& ids : record.ho_neighbors) w.I32Vec(ids);
   return w.Take();
 }
 
-bool DecodeWorkerActions(const std::string& payload, WorkerActions& out) {
+bool DecodeStepRecord(const std::string& payload, StepRecord& out) {
   WireReader r(payload);
-  return GetActions(r, out) && r.Done();
+  const uint32_t done = r.U32();
+  uint32_t n = 0;
+  if (!r.ok() || done > 1 ||
+      !GetCount(r, kMaxAgents, kMinRecordAgentBytes, n) ||
+      !GetRows(r, n, out.obs) || !r.F32Vec(out.state)) {
+    return false;
+  }
+  out.done = done != 0;
+  out.actions.resize(n);
+  out.logps.resize(n);
+  out.rewards.resize(n);
+  for (uint32_t k = 0; k < n; ++k) {
+    out.actions[k][0] = r.F32();
+    out.actions[k][1] = r.F32();
+    out.logps[k] = r.F32();
+    out.rewards[k] = r.F32();
+  }
+  return GetNeighbors(r, n, out.he_neighbors) &&
+         GetNeighbors(r, n, out.ho_neighbors) && r.Done();
 }
 
-std::string EncodeWorkerStepResult(const WorkerStepResult& result) {
+std::string EncodeEpisodeEnd(const EpisodeEnd& end) {
   WireWriter w;
-  w.U32(result.is_reset ? 0 : 1);
-  w.U32(result.done ? 1 : 0);
-  w.U32(static_cast<uint32_t>(result.observations.size()));
-  for (const std::vector<float>& obs : result.observations) w.F32Vec(obs);
-  w.F32Vec(result.state);
-  w.F64Vec(result.rewards);
-  w.U32(static_cast<uint32_t>(result.he_neighbors.size()));
-  for (const std::vector<int32_t>& n : result.he_neighbors) w.I32Vec(n);
-  w.U32(static_cast<uint32_t>(result.ho_neighbors.size()));
-  for (const std::vector<int32_t>& n : result.ho_neighbors) w.I32Vec(n);
-  PutRngState(w, result.rng_state);
-  if (result.done) {
-    w.F64(result.metrics.data_collection_ratio);
-    w.F64(result.metrics.data_loss_ratio);
-    w.F64(result.metrics.energy_consumption_ratio);
-    w.F64(result.metrics.geographical_fairness);
-    w.F64(result.metrics.efficiency);
-  }
+  w.U32(static_cast<uint32_t>(end.obs.size()));
+  for (const std::vector<float>& obs : end.obs) w.F32Vec(obs);
+  w.F32Vec(end.state);
+  PutMetrics(w, end.metrics);
+  PutRngState(w, end.env_rng);
+  PutRngState(w, end.sample_rng);
   return w.Take();
 }
 
-bool DecodeWorkerStepResult(const std::string& payload,
-                            WorkerStepResult& out) {
+bool DecodeEpisodeEnd(const std::string& payload, EpisodeEnd& out) {
   WireReader r(payload);
-  const uint32_t kind = r.U32();
-  if (!r.ok() || kind > 1) return false;
-  out.is_reset = kind == 0;
-  out.done = r.U32() != 0;
-  uint32_t agents = 0;
-  if (!GetCount(r, 1u << 16, kMinVecBytes, agents)) return false;
-  out.observations.resize(agents);
-  for (std::vector<float>& obs : out.observations) {
-    if (!r.F32Vec(obs)) return false;
+  uint32_t n = 0;
+  if (!GetCount(r, kMaxAgents, kMinVecBytes, n) || !GetRows(r, n, out.obs) ||
+      !r.F32Vec(out.state)) {
+    return false;
   }
-  if (!r.F32Vec(out.state)) return false;
-  if (!r.F64Vec(out.rewards)) return false;
-  uint32_t he = 0;
-  if (!GetCount(r, 1u << 16, kMinVecBytes, he)) return false;
-  out.he_neighbors.resize(he);
-  for (std::vector<int32_t>& n : out.he_neighbors) {
-    if (!r.I32Vec(n)) return false;
-  }
-  uint32_t ho = 0;
-  if (!GetCount(r, 1u << 16, kMinVecBytes, ho)) return false;
-  out.ho_neighbors.resize(ho);
-  for (std::vector<int32_t>& n : out.ho_neighbors) {
-    if (!r.I32Vec(n)) return false;
-  }
-  if (!GetRngState(r, out.rng_state)) return false;
-  if (out.done) {
-    out.metrics.data_collection_ratio = r.F64();
-    out.metrics.data_loss_ratio = r.F64();
-    out.metrics.energy_consumption_ratio = r.F64();
-    out.metrics.geographical_fairness = r.F64();
-    out.metrics.efficiency = r.F64();
-  } else {
-    out.metrics = env::Metrics{};
-  }
-  return r.Done();
+  GetMetrics(r, out.metrics);
+  return GetRngState(r, out.env_rng) && GetRngState(r, out.sample_rng) &&
+         r.Done();
 }
 
 bool CampusIdFromName(const std::string& name, map::CampusId& out) {

@@ -1,15 +1,14 @@
 #ifndef AGSC_CORE_WORKER_PROTOCOL_H_
 #define AGSC_CORE_WORKER_PROTOCOL_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/policy.h"
+#include "core/vec_sampler.h"
 #include "env/config.h"
-#include "env/metrics.h"
 #include "map/campus.h"
-#include "util/rng.h"
 
 namespace agsc::core {
 
@@ -21,48 +20,52 @@ namespace agsc::core {
 /// registry and the payload codecs.
 ///
 /// Conversation (one per worker, per incarnation/connection):
-///   worker  -> trainer  kMsgRegister        remote only: claim a worker slot
-///   trainer -> worker   kMsgInit            campus + full EnvConfig
-///   worker  -> trainer  kMsgHello           version + dims echo
+///   worker  -> trainer  kMsgRegister     remote only: claim a worker slot
+///   trainer -> worker   kMsgInit         campus, EnvConfig, actor shape
+///   worker  -> trainer  kMsgHello        version + dims echo
+///   once per Collect:
+///     trainer -> worker kMsgPolicy       the actors' parameter bits
 ///   repeat per episode:
-///     trainer -> worker kMsgEpisodePrefix   env-RNG state + replay actions
-///     worker  -> trainer kMsgStepResult     (reply to the prefix)
-///     repeat per timeslot:
-///       trainer -> worker kMsgStep          one slot's actions
-///       worker  -> trainer kMsgStepResult
-///   trainer -> worker   kMsgShutdown        clean exit
+///     trainer -> worker kMsgEpisode      start RNG states + fallback bits
+///     worker  -> trainer kMsgStepRecord  one per env step (RunEpisode)
+///     worker  -> trainer kMsgEpisodeEnd  terminal obs, metrics, end RNGs
+///   trainer -> worker   kMsgShutdown     clean exit
 ///
-/// The prefix frame is both the per-episode reset and the crash-replay
-/// vehicle: it carries the environment RNG state the episode must start
-/// from plus the K actions already issued this episode. K = 0 is a plain
-/// reset; K > 0 means "reset, replay these silently, and reply with the
-/// K-th step's result" — which is exactly what a respawned worker needs to
-/// resume as if the crash never happened.
+/// The worker runs whole episodes with its own copy of the actors, so the
+/// trainer sends nothing per step. An episode frame fully determines the
+/// episode (policy + start states), which is also how a crash, stall or
+/// drop is recovered: drop the partial episode, respawn or reconnect, and
+/// send init, policy and the same episode frame again.
 ///
-/// All floats/doubles travel as raw bit patterns, so a replayed or
-/// multi-process rollout is bit-identical to the in-process one.
+/// All floats/doubles travel as raw bit patterns, so a multi-process
+/// rollout is bit-identical to the in-process one.
 
 /// v2 added kMsgRegister (remote workers over TCP). v3 appended the
-/// EnvConfig channel-path fields (use_channel_batch / env_fast_math) to
-/// kMsgInit and the kPrefixScalarChannel fallback flag.
-inline constexpr uint32_t kWorkerProtocolVersion = 3;
+/// EnvConfig channel-path fields to kMsgInit. v4 moved action selection
+/// into the worker: kMsgPolicy, kMsgEpisode and the per-step records
+/// replace the per-step Step/StepResult exchange and the action replay.
+inline constexpr uint32_t kWorkerProtocolVersion = 4;
 
 enum WorkerMsgType : uint32_t {
   kMsgInit = 1,
   kMsgHello = 2,
-  kMsgEpisodePrefix = 3,
-  kMsgStep = 4,
+  kMsgEpisode = 3,
   kMsgShutdown = 5,
-  kMsgStepResult = 6,
   kMsgRegister = 7,
+  kMsgPolicy = 8,
+  kMsgStepRecord = 9,
+  kMsgEpisodeEnd = 10,
 };
 
 /// kMsgInit payload: everything a worker needs to rebuild the trainer's
-/// environment deterministically (map::BuildDataset(campus, pois) + the
-/// verbatim EnvConfig; the RNG state arrives per episode).
+/// environment (map::BuildDataset(campus, pois) + the verbatim EnvConfig)
+/// and actors (hidden widths; the input width follows from the env and
+/// share_params). RNG states arrive per episode, parameters per Collect.
 struct WorkerInit {
   map::CampusId campus = map::CampusId::kPurdue;
   env::EnvConfig config;
+  std::vector<int> actor_hidden;
+  bool share_params = false;
 };
 
 /// kMsgRegister payload: the first frame a remote (`--connect`) worker
@@ -88,41 +91,25 @@ struct WorkerHello {
   int32_t state_dim = 0;
 };
 
-/// One slot's actions for every agent: the raw {direction, speed} floats
-/// exactly as sampled; the worker widens them to env::UvAction the same way
-/// VecSampler does.
-struct WorkerActions {
-  std::vector<std::array<float, 2>> per_agent;
+/// kMsgEpisode payload: the env and sampling streams the episode starts
+/// from, and the trainer's sticky oracle fallbacks.
+struct WorkerEpisode {
+  uint32_t flags = 0;  ///< kEpisode* bits.
+  RngState env_rng{};
+  RngState sample_rng{};
 };
 
-/// kMsgEpisodePrefix payload (see the conversation diagram above).
-struct EpisodePrefix {
-  uint32_t flags = 0;  ///< kPrefix* bits when oracle fallbacks are on.
-  std::array<uint64_t, util::Rng::kStateWords> rng_state{};
-  std::vector<WorkerActions> replay;  ///< Actions already issued; may be empty.
-};
+/// Naive linear-scan env (spatial index disabled).
+inline constexpr uint32_t kEpisodeNaiveEnv = 1u << 0;
+/// Scalar per-link channel path (batched channel kernels disabled).
+inline constexpr uint32_t kEpisodeScalarChannel = 1u << 1;
+/// Naive reference GEMM kernels.
+inline constexpr uint32_t kEpisodeNaiveNn = 1u << 2;
 
-inline constexpr uint32_t kPrefixNaiveEnv = 1u << 0;
-/// The trainer's oracle guard downgraded the batched channel kernels to the
-/// scalar per-link ChannelModel path; workers must mirror it (sticky, like
-/// kPrefixNaiveEnv, and carried to respawned incarnations).
-inline constexpr uint32_t kPrefixScalarChannel = 1u << 1;
-
-/// kMsgStepResult payload: everything the trainer appends to the rollout
-/// buffer for one slot, plus the worker's post-step env RNG state (the
-/// trainer mirrors it so the next prefix — ordinary or crash-replay —
-/// resumes the exact stream position).
-struct WorkerStepResult {
-  bool is_reset = false;
-  bool done = false;
-  std::vector<std::vector<float>> observations;
-  std::vector<float> state;
-  std::vector<double> rewards;                   ///< Empty for a reset.
-  std::vector<std::vector<int32_t>> he_neighbors;  ///< Empty for a reset.
-  std::vector<std::vector<int32_t>> ho_neighbors;  ///< Empty for a reset.
-  std::array<uint64_t, util::Rng::kStateWords> rng_state{};
-  env::Metrics metrics;  ///< Valid only when done.
-};
+/// The actor networks a worker holds: one per agent, or one under
+/// parameter sharing, built from a WorkerInit.
+std::vector<GaussianActor> BuildWorkerActors(const WorkerInit& init,
+                                             int num_agents, int obs_dim);
 
 std::string EncodeWorkerInit(const WorkerInit& init);
 bool DecodeWorkerInit(const std::string& payload, WorkerInit& out);
@@ -133,14 +120,23 @@ bool DecodeWorkerRegister(const std::string& payload, WorkerRegister& out);
 std::string EncodeWorkerHello(const WorkerHello& hello);
 bool DecodeWorkerHello(const std::string& payload, WorkerHello& out);
 
-std::string EncodeEpisodePrefix(const EpisodePrefix& prefix);
-bool DecodeEpisodePrefix(const std::string& payload, EpisodePrefix& out);
+/// kMsgPolicy payload: every parameter of `nets`, in Parameters() order,
+/// as {rows, cols, raw floats}.
+std::string EncodeWorkerPolicy(const std::vector<const GaussianActor*>& nets);
+/// Writes the payload's parameters into `nets` in place. Rejects the frame
+/// before writing anything unless its size, network count, tensor counts
+/// and every shape match `nets` exactly.
+bool DecodeWorkerPolicy(const std::string& payload,
+                        const std::vector<GaussianActor*>& nets);
 
-std::string EncodeWorkerActions(const WorkerActions& actions);
-bool DecodeWorkerActions(const std::string& payload, WorkerActions& out);
+std::string EncodeWorkerEpisode(const WorkerEpisode& episode);
+bool DecodeWorkerEpisode(const std::string& payload, WorkerEpisode& out);
 
-std::string EncodeWorkerStepResult(const WorkerStepResult& result);
-bool DecodeWorkerStepResult(const std::string& payload, WorkerStepResult& out);
+std::string EncodeStepRecord(const StepRecord& record);
+bool DecodeStepRecord(const std::string& payload, StepRecord& out);
+
+std::string EncodeEpisodeEnd(const EpisodeEnd& end);
+bool DecodeEpisodeEnd(const std::string& payload, EpisodeEnd& out);
 
 /// Maps a campus display name ("Purdue"/"NCSU") back to its id; false if
 /// the name matches no campus. Used to derive the kMsgInit campus from the

@@ -27,21 +27,6 @@ Tensor DiagGaussian::Sample(util::Rng& rng) const {
   return out;
 }
 
-Tensor DiagGaussian::SamplePerRow(const std::vector<util::Rng*>& rngs) const {
-  Tensor out = mean_.value();
-  if (static_cast<int>(rngs.size()) != out.rows()) {
-    throw std::invalid_argument(
-        "DiagGaussian::SamplePerRow: one rng per row required");
-  }
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) {
-      const float sigma = std::exp(log_std_.value()(0, c));
-      out(r, c) += sigma * static_cast<float>(rngs[r]->Gaussian());
-    }
-  }
-  return out;
-}
-
 Tensor DiagGaussian::Mode() const { return mean_.value(); }
 
 Variable DiagGaussian::LogProb(const Tensor& actions) const {

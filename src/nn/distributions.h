@@ -21,14 +21,6 @@ class DiagGaussian {
   /// Draws one action per row; returns an NxD tensor (no graph).
   Tensor Sample(util::Rng& rng) const;
 
-  /// Draws one action per row, row r using `rngs[r]` (no graph). Rows are
-  /// sampled in index order, so each row's draw sequence depends only on
-  /// its own generator — this is what lets the vectorized sampler batch
-  /// actor forwards across rollout workers while every worker keeps a
-  /// private, scheduling-independent RNG stream. `rngs.size()` must equal
-  /// the batch row count.
-  Tensor SamplePerRow(const std::vector<util::Rng*>& rngs) const;
-
   /// Returns the deterministic mode (= mean values, no graph).
   Tensor Mode() const;
 

@@ -89,6 +89,12 @@ class Mlp : public Module {
 
   int in_features() const { return layers_.front().in_features(); }
   int out_features() const { return layers_.back().out_features(); }
+  /// The `sizes` this MLP was built from: {in, hidden..., out}.
+  std::vector<int> sizes() const {
+    std::vector<int> out = {in_features()};
+    for (const Linear& layer : layers_) out.push_back(layer.out_features());
+    return out;
+  }
 
  private:
   std::vector<Linear> layers_;

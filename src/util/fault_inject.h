@@ -68,38 +68,40 @@ namespace agsc::util {
 /// Subprocess-rollout faults, observed by the agsc_worker binary (the
 /// trainer process inherits the same environment but never calls these
 /// hooks). Scoped by AGSC_FAULT_WORKER_ID, and disarmed for respawned
-/// incarnations so a replayed shard does not re-trip the same fault:
+/// incarnations so a re-run episode does not re-trip the same fault:
 ///
-///   AGSC_FAULT_KILL_WORKER_NTH=N   the worker SIGKILLs itself on receiving
-///                                  its Nth step frame — a deterministic
-///                                  mid-round crash (segfault/OOM stand-in).
-///   AGSC_FAULT_CORRUPT_FRAME=N     the worker's Nth outgoing result frame
-///                                  has a payload byte flipped after the
-///                                  CRC is computed (garbage-emitting
-///                                  worker; the trainer must detect it).
+///   AGSC_FAULT_KILL_WORKER_NTH=N   the worker SIGKILLs itself in its Nth
+///                                  env step, before that step's record
+///                                  is sent — a deterministic mid-episode
+///                                  crash (segfault/OOM stand-in).
+///   AGSC_FAULT_CORRUPT_FRAME=N     the worker's Nth outgoing record (step
+///                                  records and episode ends counted
+///                                  together: T + 1 per episode) has a
+///                                  payload byte flipped after the CRC is
+///                                  computed (garbage-emitting worker; the
+///                                  trainer must detect it).
 ///   AGSC_FAULT_STALL_PIPE=N        the worker sleeps AGSC_FAULT_STALL_MS
-///                                  before writing its Nth result frame
-///                                  (hung worker; exercises the read
-///                                  timeout -> respawn path).
+///                                  before writing its Nth outgoing record
+///                                  (counted as for CORRUPT_FRAME; hung
+///                                  worker; exercises the read timeout ->
+///                                  respawn path).
 ///   AGSC_FAULT_STALL_READS=N       the worker sleeps AGSC_FAULT_STALL_MS
 ///                                  before *reading* its Nth incoming frame
-///                                  (counted over every incoming frame,
-///                                  init/prefix included) — a peer that
+///                                  (counted over every incoming frame:
+///                                  init, policy, episodes) — a peer that
 ///                                  stops draining; exercises the bounded
 ///                                  FrameWriter::Write -> kTimeout path.
 ///                                  Scoped by its own incarnation knob
 ///                                  AGSC_FAULT_STALL_READS_INCARNATION
 ///                                  (read by agsc_worker, default 0) so the
 ///                                  stall can target a *respawned*
-///                                  incarnation whose episode prefix
-///                                  carries a large replay log.
+///                                  incarnation's policy frame.
 ///   AGSC_FAULT_DROP_CONN=N         a remote (--connect) worker drops its
 ///                                  TCP connection instead of reading its
 ///                                  Nth incoming frame, then reconnects —
-///                                  the injected mid-episode network
-///                                  partition behind the reconnect-and-
-///                                  replay tests. Pipe workers exit 4
-///                                  instead (the trainer sees EOF).
+///                                  the injected network partition behind
+///                                  the reconnect tests. Pipe workers exit
+///                                  4 instead (the trainer sees EOF).
 ///   AGSC_FAULT_WORKER_ID=W         restrict the worker faults above to
 ///                                  worker W (default -1 = any worker).
 ///
@@ -124,9 +126,9 @@ class FaultInjector {
     int flood_clients = 0;    ///< Local serve clients that flood; 0 = none.
     int flood_depth = 64;     ///< In-flight pipeline per flooding client.
     long stall_drain_ms = 0;  ///< ServeClient delay before response reads.
-    int kill_worker_nth = 0;  ///< 1-based incoming step frame to die on.
-    int corrupt_frame = 0;    ///< 1-based outgoing frame to corrupt.
-    int stall_pipe = 0;       ///< 1-based outgoing frame to delay.
+    int kill_worker_nth = 0;  ///< 1-based env step to die in.
+    int corrupt_frame = 0;    ///< 1-based outgoing record to corrupt.
+    int stall_pipe = 0;       ///< 1-based outgoing record to delay.
     int stall_reads = 0;      ///< 1-based incoming frame to stall before.
     int drop_conn = 0;        ///< 1-based incoming frame to drop conn before.
     int fault_worker_id = -1; ///< Worker the faults above target; -1 = any.
@@ -178,11 +180,11 @@ class FaultInjector {
   int FloodDepth() const;
   long StallDrainMs() const;
 
-  /// Called by agsc_worker once per incoming step frame; true means this
-  /// worker must SIGKILL itself now (KILL_WORKER_NTH).
+  /// Called by agsc_worker once per env step; true means this worker must
+  /// SIGKILL itself now (KILL_WORKER_NTH).
   bool KillWorkerNow();
 
-  /// Called by agsc_worker once per outgoing result frame; returns the
+  /// Called by agsc_worker once per outgoing record; returns the
   /// CORRUPT_FRAME / STALL_PIPE faults due for this frame. The caller
   /// sleeps and flips outside the injector's lock.
   FrameFault NextFrameFault();
@@ -195,14 +197,14 @@ class FaultInjector {
   /// Disarms the subprocess-rollout faults only (KILL_WORKER_NTH,
   /// CORRUPT_FRAME, STALL_PIPE, DROP_CONN). agsc_worker calls this when
   /// the faults are scoped to another worker id, or when it is a respawned
-  /// incarnation / reconnection — a replayed shard must not re-trip the
+  /// incarnation / reconnection — a re-run episode must not re-trip the
   /// fault that killed its predecessor. STALL_READS is NOT covered: it is
   /// scoped by its own incarnation knob (see the env-flag table) and
   /// disarmed via DisarmReadStallFault.
   void DisarmWorkerFaults();
 
   /// Disarms STALL_READS only (its incarnation scope is independent so the
-  /// stall can be aimed at a respawned incarnation's replay prefix).
+  /// stall can be aimed at a respawned incarnation's policy frame).
   void DisarmReadStallFault();
 
   int write_count() const;

@@ -15,7 +15,16 @@ int64_t NowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Heartbeat slot of the deadline-bounded task running on this thread.
+thread_local std::atomic<int64_t>* current_beat = nullptr;
 }  // namespace
+
+void ThreadPool::Heartbeat() {
+  if (current_beat != nullptr) {
+    current_beat->store(NowNs(), std::memory_order_relaxed);
+  }
+}
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads < 0) num_threads = 0;
@@ -96,65 +105,78 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
   // that every task co-owns.
   struct Batch {
     std::function<void(int)> fn;
-    std::vector<std::atomic<int64_t>> start_ns;  ///< 0 = not started yet.
+    std::vector<std::atomic<int64_t>> beat_ns;  ///< 0 = not started yet.
     std::vector<std::atomic<uint8_t>> done;
     Batch(const std::function<void(int)>& f, int count)
         : fn(f),
-          start_ns(static_cast<size_t>(count)),
+          beat_ns(static_cast<size_t>(count)),
           done(static_cast<size_t>(count)) {}
   };
   auto batch = std::make_shared<Batch>(fn, n);
+  const int64_t submitted_ns = NowNs();
 
   std::vector<std::future<void>> futures;
   futures.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     futures.push_back(Submit([batch, i] {
       const size_t s = static_cast<size_t>(i);
-      batch->start_ns[s].store(NowNs(), std::memory_order_relaxed);
+      std::atomic<int64_t>* const outer = current_beat;
+      current_beat = &batch->beat_ns[s];
+      Heartbeat();
       try {
         batch->fn(i);
       } catch (...) {
+        current_beat = outer;
         batch->done[s].store(1, std::memory_order_release);
         throw;  // Lands in the future; rethrown below on the normal path.
       }
+      current_beat = outer;
       batch->done[s].store(1, std::memory_order_release);
     }));
   }
 
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  bool timed_out = false;
-  for (int i = 0; i < n && !timed_out; ++i) {
-    if (futures[static_cast<size_t>(i)].wait_until(deadline) !=
-        std::future_status::ready) {
-      timed_out = true;
-    }
-  }
-
-  if (timed_out) {
-    // Re-scan the heartbeat flags: a future can become ready between the
-    // timed wait and here, so only a task still marked unfinished counts.
+  // Sleep until the earliest unfinished task's deadline (or until the
+  // first unfinished task completes), then re-scan: a task that beat in
+  // the meantime has a later deadline, and only one that is still silent
+  // past its deadline counts as hung.
+  const int64_t deadline_ns = static_cast<int64_t>(deadline_ms) * 1000000;
+  for (;;) {
+    int first_open = -1;
+    int64_t earliest_ns = 0;
     for (int i = 0; i < n; ++i) {
       const size_t s = static_cast<size_t>(i);
       if (batch->done[s].load(std::memory_order_acquire) != 0) continue;
-      const int64_t started = batch->start_ns[s].load(
-          std::memory_order_relaxed);
-      const long elapsed_ms =
-          started > 0 ? static_cast<long>((NowNs() - started) / 1000000)
-                      : 0;
+      const int64_t beat = batch->beat_ns[s].load(std::memory_order_relaxed);
+      const int64_t due = (beat > 0 ? beat : submitted_ns) + deadline_ns;
+      if (first_open < 0 || due < earliest_ns) earliest_ns = due;
+      if (first_open < 0) first_open = i;
+    }
+    if (first_open < 0) break;  // Every task finished.
+    const int64_t now = NowNs();
+    if (now < earliest_ns) {
+      futures[static_cast<size_t>(first_open)].wait_for(
+          std::chrono::nanoseconds(earliest_ns - now));
+      continue;
+    }
+    for (int i = 0; i < n; ++i) {
+      const size_t s = static_cast<size_t>(i);
+      if (batch->done[s].load(std::memory_order_acquire) != 0) continue;
+      const int64_t beat = batch->beat_ns[s].load(std::memory_order_relaxed);
+      const int64_t silent_ns = now - (beat > 0 ? beat : submitted_ns);
+      if (silent_ns < deadline_ns) continue;
+      const long silent_ms = static_cast<long>(silent_ns / 1000000);
       std::ostringstream msg;
       msg << "watchdog: task " << i << " of " << n << " missed the "
           << deadline_ms << " ms deadline (";
-      if (started > 0) {
-        msg << "running for " << elapsed_ms << " ms";
+      if (beat > 0) {
+        msg << "no heartbeat for " << silent_ms << " ms";
       } else {
         msg << "never started";
       }
       msg << ")";
-      throw WatchdogTimeoutError(msg.str(), i, started > 0, elapsed_ms,
-                                 deadline_ms);
+      throw WatchdogTimeoutError(msg.str(), i, beat > 0,
+                                 beat > 0 ? silent_ms : 0, deadline_ms);
     }
-    // Every task finished in the race window after all: fall through.
   }
 
   std::exception_ptr first_error;

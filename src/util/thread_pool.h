@@ -16,7 +16,7 @@ namespace agsc::util {
 
 /// Structured error thrown when a ParallelFor deadline expires: identifies
 /// the first unfinished task, whether it ever started, and how long it has
-/// been running. Callers at higher layers (VecSampler, the trainer, the
+/// been silent. Callers at higher layers (VecSampler, the trainer, the
 /// CLI) re-wrap it with domain context (worker id, env step) and map it to
 /// the watchdog-timeout exit code.
 class WatchdogTimeoutError : public std::runtime_error {
@@ -33,7 +33,7 @@ class WatchdogTimeoutError : public std::runtime_error {
   int task_index() const { return task_index_; }
   /// False if the task was still queued (never heartbeat) at expiry.
   bool task_started() const { return task_started_; }
-  /// Milliseconds since the task's start heartbeat (0 if never started).
+  /// Milliseconds since the task's last heartbeat (0 if never started).
   long elapsed_ms() const { return elapsed_ms_; }
   long deadline_ms() const { return deadline_ms_; }
 
@@ -78,11 +78,13 @@ class ThreadPool {
   /// index is rethrown (a deterministic choice) after every task finished.
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
-  /// ParallelFor with a per-batch watchdog: every task records a start
-  /// heartbeat, and a deadline monitor on the calling thread waits at most
-  /// `deadline_ms` (0 = forever, i.e. the plain overload) for the whole
-  /// batch. On expiry it throws WatchdogTimeoutError naming the first
-  /// unfinished task instead of blocking forever on a hung worker.
+  /// ParallelFor with a watchdog: a deadline monitor on the calling thread
+  /// throws WatchdogTimeoutError naming the first unfinished task that
+  /// went `deadline_ms` (0 = forever, i.e. the plain overload) without a
+  /// heartbeat, instead of blocking forever on a hung worker. A task beats
+  /// when it starts and whenever it calls Heartbeat(), so a long task that
+  /// beats once per unit of work is bounded per unit, not as a whole; a
+  /// task still queued counts from the batch's submission.
   ///
   /// Safety contract on timeout: the hung task may still be running. `fn`
   /// is copied into shared storage that outlives the throw, so the caller's
@@ -95,6 +97,10 @@ class ThreadPool {
                    long deadline_ms);
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
+
+  /// Restarts the watchdog clock of the deadline-bounded ParallelFor task
+  /// running on this thread; a no-op anywhere else.
+  static void Heartbeat();
 
  private:
   void WorkerLoop();

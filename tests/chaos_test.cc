@@ -285,7 +285,7 @@ TEST(ChaosTest, PersistentNanLossExitsDiverged) {
 
 // ---------------------------------------------------------------------------
 // Subprocess rollout workers (--proc-workers): byte-identity with the
-// in-process sampler, respawn-and-replay under injected worker faults, and
+// in-process sampler, respawn-and-re-run under injected worker faults, and
 // the worker-failed exit code when the fleet cannot be kept alive.
 // ---------------------------------------------------------------------------
 
@@ -323,8 +323,9 @@ TEST(ChaosTest, KilledProcWorkerIsReplayedByteExactly) {
   Workspace ws("proc_kill");
   const std::string clean =
       TrainAndSave(ws, "clean.agsc", {"--num-workers", "2"}, {});
-  // Worker 1 SIGKILLs itself on its 4th step frame, mid-round; the trainer
-  // must respawn and replay it, landing on the identical checkpoint.
+  // Worker 1 SIGKILLs itself in its 4th env step, mid-episode; the trainer
+  // must respawn it and re-run the episode, landing on the identical
+  // checkpoint.
   const std::string faulty =
       TrainAndSave(ws, "faulty.agsc", {"--proc-workers", "2"},
                    {"AGSC_FAULT_KILL_WORKER_NTH=4",
@@ -340,7 +341,7 @@ TEST(ChaosTest, CorruptFrameFromProcWorkerIsReplayedByteExactly) {
   const std::string clean =
       TrainAndSave(ws, "clean.agsc", {"--num-workers", "2"}, {});
   // Worker 0's 3rd outgoing frame has a payload byte flipped after its CRC:
-  // the trainer must reject the frame, never consume garbage, and replay.
+  // the trainer must reject the frame, never consume garbage, and re-run.
   const std::string faulty =
       TrainAndSave(ws, "faulty.agsc", {"--proc-workers", "2"},
                    {"AGSC_FAULT_CORRUPT_FRAME=3", "AGSC_FAULT_WORKER_ID=0"});
@@ -354,7 +355,7 @@ TEST(ChaosTest, StalledProcWorkerIsRespawnedNotFatal) {
       TrainAndSave(ws, "clean.agsc", {"--num-workers", "2"}, {});
   // A 30 s pipe stall against a 1 s step deadline. Unlike the in-process
   // watchdog (fail-fast exit 7), a subprocess straggler is recoverable:
-  // kill, respawn, replay, finish with exit 0 and identical bytes.
+  // kill, respawn, re-run, finish with exit 0 and identical bytes.
   const std::string faulty = TrainAndSave(
       ws, "faulty.agsc",
       {"--proc-workers", "2", "--watchdog-sec", "1"},
@@ -455,7 +456,7 @@ TEST(ChaosTest, KilledRemoteWorkerIsReplacedAndByteIdentical) {
   const pid_t w1 = SpawnRemoteWorker(port, 1, ws.dir + "/w1.log");
 
   // SIGKILL worker 1 over TCP mid-episode, then hand the trainer a
-  // replacement: the slot must be re-attached and its shard replayed.
+  // replacement: the slot must be re-attached and its episode re-run.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   ::kill(w1, SIGKILL);
   WaitExit(w1);

@@ -1,11 +1,11 @@
 // Crash-isolated subprocess sampler tests: bit-identity of --proc-workers
 // style collection with the in-process VecSampler, trainer-level checkpoint
-// byte-equality and cross-mode resume, and deterministic respawn-and-replay
+// byte-equality and cross-mode resume, and deterministic respawn-and-re-run
 // under injected worker crashes, corrupted frames, and pipe stalls.
 //
 // Every fault test pins the SAME invariant: the merged buffer (and
 // therefore any downstream checkpoint) is bit-identical to the fault-free
-// in-process run — a respawned worker replays its shard exactly.
+// in-process run — a respawned worker re-runs the failed episode exactly.
 
 #include <cstdlib>
 #include <unistd.h>
@@ -112,18 +112,29 @@ void ExpectBuffersBitEqual(const core::MultiAgentBuffer& a,
   }
 }
 
-/// Same policy-free BatchActFn as vec_sampler_test: row i's action is a
-/// pure function of its private stream, drawn in row order.
-void DummyAct(int /*k*/, const std::vector<const std::vector<float>*>& rows,
-              const std::vector<util::Rng*>& rngs,
-              std::vector<std::array<float, 2>>& actions_out,
-              std::vector<float>& logps_out) {
-  ASSERT_EQ(rows.size(), rngs.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    actions_out[i] = {static_cast<float>(rngs[i]->Gaussian()),
-                      static_cast<float>(rngs[i]->Gaussian())};
-    logps_out[i] = static_cast<float>(i);
+/// Untrained actors, one per agent of the small env. Every sampler in this
+/// file collects with the same weights, so each transport must produce the
+/// same rows.
+struct TestActors {
+  std::vector<core::GaussianActor> nets;
+  core::RolloutActors rollout;
+
+  explicit TestActors(int hidden) {
+    const env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+    util::Rng rng(5);
+    core::NetConfig net;
+    net.hidden = {hidden};
+    nets.reserve(static_cast<size_t>(env.num_agents()));
+    for (int k = 0; k < env.num_agents(); ++k) {
+      nets.emplace_back(env.obs_dim(), env::ScEnv::kActionDim, net, rng);
+      rollout.per_agent.push_back(&nets.back());
+    }
   }
+};
+
+const core::RolloutActors& SmallActors() {
+  static const TestActors* actors = new TestActors(16);
+  return actors->rollout;
 }
 
 /// Collects with the in-process VecSampler — the reference result.
@@ -134,7 +145,7 @@ core::MultiAgentBuffer VecCollect(int workers, int episodes,
   core::VecSampler sampler(env, rng, workers, 11);
   core::MultiAgentBuffer buffer(env.num_agents());
   std::vector<env::Metrics> metrics;
-  sampler.Collect(episodes, DummyAct, buffer, metrics);
+  sampler.Collect(episodes, SmallActors(), buffer, metrics);
   if (metrics_out) *metrics_out = std::move(metrics);
   return buffer;
 }
@@ -148,7 +159,7 @@ core::MultiAgentBuffer ProcCollect(int workers, int episodes,
   core::ProcSampler sampler(env, rng, workers, 11, WorkerOptions());
   core::MultiAgentBuffer buffer(env.num_agents());
   std::vector<env::Metrics> metrics;
-  sampler.Collect(episodes, DummyAct, buffer, metrics);
+  sampler.Collect(episodes, SmallActors(), buffer, metrics);
   if (metrics_out) *metrics_out = std::move(metrics);
   if (respawns_out) *respawns_out = sampler.respawn_count();
   return buffer;
@@ -210,7 +221,7 @@ TEST(ProcSamplerTest, MissingWorkerBinaryThrowsProcWorkerError) {
   core::ProcSampler sampler(env, rng, 1, 11, std::move(options));
   core::MultiAgentBuffer buffer(env.num_agents());
   std::vector<env::Metrics> metrics;
-  EXPECT_THROW(sampler.Collect(1, DummyAct, buffer, metrics),
+  EXPECT_THROW(sampler.Collect(1, SmallActors(), buffer, metrics),
                core::ProcWorkerError);
 }
 
@@ -227,7 +238,7 @@ TEST(ProcSamplerTest, NotAWorkerProtocolBinaryThrowsProcWorkerError) {
   core::ProcSampler sampler(env, rng, 1, 11, std::move(options));
   core::MultiAgentBuffer buffer(env.num_agents());
   std::vector<env::Metrics> metrics;
-  EXPECT_THROW(sampler.Collect(1, DummyAct, buffer, metrics),
+  EXPECT_THROW(sampler.Collect(1, SmallActors(), buffer, metrics),
                core::ProcWorkerError);
 }
 
@@ -273,7 +284,7 @@ TEST(ProcSamplerTest, PrimaryRngStreamsAdvanceIdentically) {
     core::VecSampler sampler(vec_env, vec_rng, 2, 11);
     core::MultiAgentBuffer buffer(vec_env.num_agents());
     std::vector<env::Metrics> metrics;
-    sampler.Collect(4, DummyAct, buffer, metrics);
+    sampler.Collect(4, SmallActors(), buffer, metrics);
   }
   env::ScEnv proc_env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng proc_rng(11);
@@ -281,14 +292,14 @@ TEST(ProcSamplerTest, PrimaryRngStreamsAdvanceIdentically) {
     core::ProcSampler sampler(proc_env, proc_rng, 2, 11, WorkerOptions());
     core::MultiAgentBuffer buffer(proc_env.num_agents());
     std::vector<env::Metrics> metrics;
-    sampler.Collect(4, DummyAct, buffer, metrics);
+    sampler.Collect(4, SmallActors(), buffer, metrics);
     // The split streams (checkpoint "vrng" payload) must also agree.
     env::ScEnv ref_env(SmallEnvConfig(), SmallDataset(), 11);
     util::Rng ref_rng(11);
     core::VecSampler ref(ref_env, ref_rng, 2, 11);
     core::MultiAgentBuffer ref_buffer(ref_env.num_agents());
     std::vector<env::Metrics> ref_metrics;
-    ref.Collect(4, DummyAct, ref_buffer, ref_metrics);
+    ref.Collect(4, SmallActors(), ref_buffer, ref_metrics);
     const std::vector<util::Rng*> proc_streams = sampler.SplitRngs();
     const std::vector<util::Rng*> ref_streams = ref.SplitRngs();
     ASSERT_EQ(proc_streams.size(), ref_streams.size());
@@ -302,7 +313,7 @@ TEST(ProcSamplerTest, PrimaryRngStreamsAdvanceIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection: every fault is absorbed by respawn-and-replay and the
+// Fault injection: every fault is absorbed by respawn-and-re-run and the
 // result stays bit-identical to the fault-free reference.
 // ---------------------------------------------------------------------------
 
@@ -311,7 +322,7 @@ TEST(ProcSamplerFaultTest, WorkerKilledMidEpisodeIsReplayedBitExactly) {
   int respawns = 0;
   core::MultiAgentBuffer faulty(2);  // 1 UAV + 1 UGV.
   {
-    // Worker 1 SIGKILLs itself on its 3rd step frame of incarnation 0.
+    // Worker 1 SIGKILLs itself in its 3rd env step of incarnation 0.
     ScopedWorkerFaultEnv env_guard({{"AGSC_FAULT_KILL_WORKER_NTH", "3"},
                                     {"AGSC_FAULT_WORKER_ID", "1"}});
     faulty = ProcCollect(2, 4, nullptr, &respawns);
@@ -320,14 +331,33 @@ TEST(ProcSamplerFaultTest, WorkerKilledMidEpisodeIsReplayedBitExactly) {
   ExpectBuffersBitEqual(reference, faulty);
 }
 
+TEST(ProcSamplerFaultTest, LastStepKillIsReplayedBitExactly) {
+  // Worker 1 dies in the last env step of its first episode, after every
+  // other record of it arrived: the partial episode is dropped whole and
+  // re-run, terminal successors included.
+  std::vector<env::Metrics> ref_metrics, faulty_metrics;
+  const core::MultiAgentBuffer reference = VecCollect(2, 4, &ref_metrics);
+  int respawns = 0;
+  core::MultiAgentBuffer faulty(2);  // 1 UAV + 1 UGV.
+  {
+    ScopedWorkerFaultEnv env_guard(
+        {{"AGSC_FAULT_KILL_WORKER_NTH", std::to_string(kTimeslots)},
+         {"AGSC_FAULT_WORKER_ID", "1"}});
+    faulty = ProcCollect(2, 4, &faulty_metrics, &respawns);
+  }
+  EXPECT_GE(respawns, 1);
+  ExpectBuffersBitEqual(reference, faulty);
+  ExpectMetricsBitEqual(ref_metrics, faulty_metrics);
+}
+
 TEST(ProcSamplerFaultTest, CorruptFrameIsDetectedAndReplayedBitExactly) {
   const core::MultiAgentBuffer reference = VecCollect(2, 4, nullptr);
   int respawns = 0;
   core::MultiAgentBuffer faulty(2);  // 1 UAV + 1 UGV.
   {
-    // Worker 0's 2nd outgoing result frame has a payload byte flipped after
-    // its CRC was computed — the trainer must detect the mismatch, never
-    // consume the frame, and replay the shard.
+    // Worker 0's 2nd outgoing record has a payload byte flipped after its
+    // CRC was computed — the trainer must detect the mismatch, never
+    // consume the frame, and re-run the episode.
     ScopedWorkerFaultEnv env_guard({{"AGSC_FAULT_CORRUPT_FRAME", "2"},
                                     {"AGSC_FAULT_WORKER_ID", "0"}});
     faulty = ProcCollect(2, 4, nullptr, &respawns);
@@ -336,13 +366,34 @@ TEST(ProcSamplerFaultTest, CorruptFrameIsDetectedAndReplayedBitExactly) {
   ExpectBuffersBitEqual(reference, faulty);
 }
 
+TEST(ProcSamplerFaultTest, CorruptEpisodeEndIsReplayedBitExactly) {
+  // Worker 1's first episode-end record (its kTimeslots + 1-th outgoing
+  // record) is corrupted: the terminal observations and end RNG states
+  // never reach the buffer or the stream mirrors, and the re-run episode
+  // yields the same buffer, next_obs/next_states included, and the same
+  // split streams.
+  std::vector<env::Metrics> ref_metrics, faulty_metrics;
+  const core::MultiAgentBuffer reference = VecCollect(2, 4, &ref_metrics);
+  int respawns = 0;
+  core::MultiAgentBuffer faulty(2);  // 1 UAV + 1 UGV.
+  {
+    ScopedWorkerFaultEnv env_guard(
+        {{"AGSC_FAULT_CORRUPT_FRAME", std::to_string(kTimeslots + 1)},
+         {"AGSC_FAULT_WORKER_ID", "1"}});
+    faulty = ProcCollect(2, 4, &faulty_metrics, &respawns);
+  }
+  EXPECT_GE(respawns, 1);
+  ExpectBuffersBitEqual(reference, faulty);
+  ExpectMetricsBitEqual(ref_metrics, faulty_metrics);
+}
+
 TEST(ProcSamplerFaultTest, StalledPipeIsKilledAndReplayedBitExactly) {
   const core::MultiAgentBuffer reference = VecCollect(2, 3, nullptr);
   int respawns = 0;
   core::MultiAgentBuffer faulty(2);  // 1 UAV + 1 UGV.
   {
-    // Worker 1 sleeps 30s before its 2nd result — far past the 1s step
-    // deadline, so the trainer must kill and replay it.
+    // Worker 1 sleeps 30s before its 2nd record — far past the 1s step
+    // deadline, so the trainer must kill it and re-run the episode.
     ScopedWorkerFaultEnv env_guard({{"AGSC_FAULT_STALL_PIPE", "2"},
                                     {"AGSC_FAULT_STALL_MS", "30000"},
                                     {"AGSC_FAULT_WORKER_ID", "1"}});
@@ -353,7 +404,7 @@ TEST(ProcSamplerFaultTest, StalledPipeIsKilledAndReplayedBitExactly) {
     core::ProcSampler sampler(env, rng, 2, 11, std::move(options));
     faulty = core::MultiAgentBuffer(env.num_agents());
     std::vector<env::Metrics> metrics;
-    sampler.Collect(3, DummyAct, faulty, metrics);
+    sampler.Collect(3, SmallActors(), faulty, metrics);
     respawns = sampler.respawn_count();
   }
   EXPECT_GE(respawns, 1);
@@ -361,34 +412,38 @@ TEST(ProcSamplerFaultTest, StalledPipeIsKilledAndReplayedBitExactly) {
 }
 
 TEST(ProcSamplerFaultTest, StalledWriteSidePeerIsDetectedWithinDeadline) {
-  // The write-path-stall fix, end to end: worker 1 crashes late in a long
-  // episode, so the replay prefix (~230 actions) outgrows the one-page pipe
-  // the trainer writes into — and the respawned incarnation 1 stalls 30 s
-  // before reading it. Without the poll(POLLOUT)-bounded FrameWriter::Write
-  // the trainer would block in write(2) forever; with it, the stalled
-  // write-side peer yields kTimeout within the 1 s step deadline, is failed
-  // like any other fault, and incarnation 2 replays the shard bit-exactly.
-  env::EnvConfig config = SmallEnvConfig();
-  config.num_timeslots = 240;  // ~230 x 24 B of replay > the 4 KiB pipe.
+  // The write-path stall, end to end: worker 1 crashes mid-episode, and
+  // its respawned incarnation 1 stalls 30 s before reading its 2nd frame,
+  // the policy — which, with 256-wide actors, outgrows the one-page pipe
+  // the trainer writes into. Without the poll(POLLOUT)-bounded
+  // FrameWriter::Write the trainer would block in write(2) forever; with
+  // it, the stalled write-side peer yields kTimeout within the 1 s step
+  // deadline, is failed like any other fault, and incarnation 2 re-runs
+  // the episode bit-exactly.
+  static const TestActors* wide = new TestActors(256);
+  ASSERT_GT(core::EncodeWorkerPolicy({wide->rollout.per_agent.begin(),
+                                      wide->rollout.per_agent.end()})
+                .size(),
+            16384u);
 
-  env::ScEnv vec_env(config, SmallDataset(), 11);
+  env::ScEnv vec_env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng vec_rng(11);
   core::VecSampler vec(vec_env, vec_rng, 2, 11);
   core::MultiAgentBuffer reference(vec_env.num_agents());
   std::vector<env::Metrics> vec_metrics;
-  vec.Collect(2, DummyAct, reference, vec_metrics);
+  vec.Collect(2, wide->rollout, reference, vec_metrics);
 
   int respawns = 0;
   core::MultiAgentBuffer faulty(2);  // 1 UAV + 1 UGV.
   const auto faulty_start = std::chrono::steady_clock::now();
   {
     ScopedWorkerFaultEnv env_guard(
-        {{"AGSC_FAULT_KILL_WORKER_NTH", "232"},
-         {"AGSC_FAULT_STALL_READS", "2"},  // Read 1 = init, 2 = the prefix.
+        {{"AGSC_FAULT_KILL_WORKER_NTH", "3"},
+         {"AGSC_FAULT_STALL_READS", "2"},  // Read 1 = init, 2 = the policy.
          {"AGSC_FAULT_STALL_READS_INCARNATION", "1"},
          {"AGSC_FAULT_STALL_MS", "30000"},
          {"AGSC_FAULT_WORKER_ID", "1"}});
-    env::ScEnv env(config, SmallDataset(), 11);
+    env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
     util::Rng rng(11);
     core::ProcSampler::Options options = WorkerOptions();
     options.step_deadline_ms = 1000;
@@ -396,18 +451,17 @@ TEST(ProcSamplerFaultTest, StalledWriteSidePeerIsDetectedWithinDeadline) {
     core::ProcSampler sampler(env, rng, 2, 11, std::move(options));
     faulty = core::MultiAgentBuffer(env.num_agents());
     std::vector<env::Metrics> metrics;
-    sampler.Collect(2, DummyAct, faulty, metrics);
+    sampler.Collect(2, wide->rollout, faulty, metrics);
     respawns = sampler.respawn_count();
   }
   const long faulty_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - faulty_start)
           .count();
-  // At least two respawns: the SIGKILL, then the wedged prefix write.
+  // At least two respawns: the SIGKILL, then the wedged policy write.
   EXPECT_GE(respawns, 2);
   // "Within deadline" means the trainer escalated off the bounded write —
-  // it must not have waited out the 30 s stall (nor the scaled
-  // prefix-read budget, ~249 s here) for the peer to wake up and drain.
+  // it must not have waited out the 30 s stall for the peer to drain.
   EXPECT_LT(faulty_ms, 30000) << "stalled write-side peer was not detected "
                                  "within the step deadline";
   ExpectBuffersBitEqual(reference, faulty);
@@ -416,7 +470,7 @@ TEST(ProcSamplerFaultTest, StalledWriteSidePeerIsDetectedWithinDeadline) {
 // ---------------------------------------------------------------------------
 // Remote mode (--remote-workers analogue): agsc_worker --connect processes
 // over loopback TCP, same bit-exactness contract, and disconnect-reconnect-
-// and-replay instead of SIGKILL-respawn-and-replay.
+// and-re-run instead of SIGKILL-respawn-and-re-run.
 // ---------------------------------------------------------------------------
 
 core::ProcSampler::Options RemoteOptions() {
@@ -459,7 +513,7 @@ core::MultiAgentBuffer RemoteCollect(int workers, int episodes,
     EXPECT_TRUE(sampler.remote());
     fleet = LaunchRemoteWorkers(sampler.bound_port(), workers);
     std::vector<env::Metrics> metrics;
-    sampler.Collect(episodes, DummyAct, buffer, metrics);
+    sampler.Collect(episodes, SmallActors(), buffer, metrics);
     if (metrics_out) *metrics_out = std::move(metrics);
     if (respawns_out) *respawns_out = sampler.respawn_count();
   }  // Sampler destructor sends kMsgShutdown over every live socket.
@@ -485,9 +539,10 @@ TEST(RemoteSamplerTest, DroppedConnectionIsReconnectedAndReplayedBitExactly) {
   core::MultiAgentBuffer faulty(2);  // 1 UAV + 1 UGV.
   {
     // Worker 1 severs its TCP connection instead of reading its 4th frame
-    // (mid-episode), then reconnects: the injected network partition. The
-    // sampler must treat the EOF exactly like a crash — fail the slot,
-    // re-attach the reconnecting worker, replay the episode prefix.
+    // (init, policy, episode, then its second episode), then reconnects:
+    // the injected network partition. The sampler must treat the EOF
+    // exactly like a crash — fail the slot, re-attach the reconnecting
+    // worker, and re-send init, policy and that episode.
     ScopedWorkerFaultEnv env_guard({{"AGSC_FAULT_DROP_CONN", "4"},
                                     {"AGSC_FAULT_WORKER_ID", "1"}});
     faulty = RemoteCollect(2, 4, nullptr, &respawns);
@@ -498,10 +553,11 @@ TEST(RemoteSamplerTest, DroppedConnectionIsReconnectedAndReplayedBitExactly) {
 
 TEST(RemoteSamplerTest, RemoteTimeoutReattachesTheReconnectingWorker) {
   // The socket flavor of the stalled-pipe fault: worker 1 sleeps 5 s
-  // before writing its 2nd result, past the 1 s step deadline. The sampler
+  // before writing its 2nd record, past the 1 s step deadline. The sampler
   // drops the connection; unlike the pipe case it cannot SIGKILL a remote
   // peer, so the worker itself must notice the dead socket when it wakes
-  // (write fails), reconnect, and replay — bit-identical either way.
+  // (write fails) and reconnect, and the episode is re-run — bit-identical
+  // either way.
   const core::MultiAgentBuffer reference = VecCollect(2, 3, nullptr);
   int respawns = 0;
   core::MultiAgentBuffer faulty(2);  // 1 UAV + 1 UGV.
@@ -616,26 +672,25 @@ TEST(ProcTrainerTest, WorkerCountMismatchOnLoadIsRejected) {
 }
 
 TEST(ProcTrainerTest, OracleFallbackPropagatesToWorkers) {
-  // DisableSpatialIndex on the sampler is sticky and bit-identical by the
-  // env-naive oracle contract: collection after the downgrade must match an
-  // in-process sampler downgraded the same way.
+  // A downgraded primary env reaches every worker (replicas in place,
+  // subprocesses through the episode frame) and is bit-identical by the
+  // env-naive oracle contract: both samplers must still agree.
   env::ScEnv vec_env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng vec_rng(11);
   core::VecSampler vec(vec_env, vec_rng, 2, 11);
   vec_env.DisableSpatialIndex();
-  vec.worker_env(1).DisableSpatialIndex();
   core::MultiAgentBuffer vec_buffer(vec_env.num_agents());
   std::vector<env::Metrics> vec_metrics;
-  vec.Collect(4, DummyAct, vec_buffer, vec_metrics);
+  vec.Collect(4, SmallActors(), vec_buffer, vec_metrics);
+  EXPECT_FALSE(vec.worker_env(1).config().use_spatial_index);
 
   env::ScEnv proc_env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng proc_rng(11);
   core::ProcSampler proc(proc_env, proc_rng, 2, 11, WorkerOptions());
   proc_env.DisableSpatialIndex();
-  proc.DisableSpatialIndex();
   core::MultiAgentBuffer proc_buffer(proc_env.num_agents());
   std::vector<env::Metrics> proc_metrics;
-  proc.Collect(4, DummyAct, proc_buffer, proc_metrics);
+  proc.Collect(4, SmallActors(), proc_buffer, proc_metrics);
 
   ExpectBuffersBitEqual(vec_buffer, proc_buffer);
 }

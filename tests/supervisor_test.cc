@@ -94,19 +94,23 @@ struct ShutdownGuard {
   ~ShutdownGuard() { util::ResetShutdownForTest(); }
 };
 
-/// A policy-free BatchActFn (same shape as the sampler tests): each row's
-/// action is a pure function of that row's private stream.
-void DummyAct(int /*k*/, const std::vector<const std::vector<float>*>& rows,
-              const std::vector<util::Rng*>& rngs,
-              std::vector<std::array<float, 2>>& actions_out,
-              std::vector<float>& logps_out) {
-  ASSERT_EQ(rows.size(), rngs.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    actions_out[i] = {static_cast<float>(rngs[i]->Gaussian()),
-                      static_cast<float>(rngs[i]->Gaussian())};
-    logps_out[i] = 0.0f;
+/// One untrained actor per agent of the small env (as in the sampler
+/// tests).
+struct TestActors {
+  std::vector<core::GaussianActor> nets;
+  core::RolloutActors rollout;
+
+  explicit TestActors(const env::ScEnv& env) {
+    util::Rng rng(5);
+    core::NetConfig net;
+    net.hidden = {16};
+    nets.reserve(static_cast<size_t>(env.num_agents()));
+    for (int k = 0; k < env.num_agents(); ++k) {
+      nets.emplace_back(env.obs_dim(), env::ScEnv::kActionDim, net, rng);
+      rollout.per_agent.push_back(&nets.back());
+    }
   }
-}
+};
 
 // ---------------------------------------------------------------------------
 // Exit-code taxonomy.
@@ -353,6 +357,24 @@ TEST(WatchdogTest, HungTaskThrowsStructuredTimeout) {
   }
 }
 
+TEST(WatchdogTest, HeartbeatingTaskOutlivesTheDeadline) {
+  // Fifteen 20 ms steps against a 200 ms deadline: the task runs 300 ms
+  // in all, but never 200 ms without a heartbeat.
+  std::atomic<int> steps{0};
+  util::ThreadPool pool(2);
+  pool.ParallelFor(
+      2,
+      [&](int) {
+        for (int i = 0; i < 15; ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          util::ThreadPool::Heartbeat();
+          steps.fetch_add(1);
+        }
+      },
+      /*deadline_ms=*/200);
+  EXPECT_EQ(steps.load(), 30);
+}
+
 TEST(WatchdogTest, TaskExceptionStillPropagatesUnderDeadline) {
   util::ThreadPool pool(2);
   EXPECT_THROW(
@@ -373,13 +395,15 @@ TEST(SamplerSupervisionTest, StopCheckInterruptsCollect) {
   env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng rng(11);
   core::VecSampler sampler(env, rng, 2, 11);
-  // Let the first timeslot run, then request a stop: Collect must throw at
-  // the next boundary and discard the partial experience.
-  int polls = 0;
+  const TestActors actors(env);
+  // Let one env step pass the check, then request a stop: every worker
+  // throws at its next step and the partial experience is discarded. The
+  // check runs on the workers' threads, hence the atomic.
+  std::atomic<int> polls{0};
   sampler.set_stop_check([&] { return ++polls > 1; });
   core::MultiAgentBuffer buffer(env.num_agents());
   std::vector<env::Metrics> metrics;
-  EXPECT_THROW(sampler.Collect(2, DummyAct, buffer, metrics),
+  EXPECT_THROW(sampler.Collect(2, actors.rollout, buffer, metrics),
                util::InterruptedError);
   EXPECT_EQ(buffer.size(), 0u);
   EXPECT_TRUE(metrics.empty());
@@ -389,17 +413,20 @@ TEST(SamplerSupervisionTest, StalledWorkerTripsStepDeadline) {
   FaultInjectorGuard guard;
   env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng rng(11);
+  // Declared before the sampler: the stalled task resumes and finishes its
+  // episode with them while the sampler's destructor joins it.
+  const TestActors actors(env);
   core::VecSampler sampler(env, rng, 2, 11);
   sampler.set_step_deadline_ms(100);
   util::FaultInjector::Config config;
-  config.stall_task = 1;  // First guarded worker step hangs...
+  config.stall_task = 1;  // One worker's first env step hangs...
   config.stall_ms = 1500;  // ...well past the 100 ms deadline.
   util::FaultInjector::Instance().set_config(config);
 
   core::MultiAgentBuffer buffer(env.num_agents());
   std::vector<env::Metrics> metrics;
   try {
-    sampler.Collect(2, DummyAct, buffer, metrics);
+    sampler.Collect(2, actors.rollout, buffer, metrics);
     FAIL() << "expected WatchdogTimeoutError";
   } catch (const util::WatchdogTimeoutError& e) {
     // The sampler annotates the pool's error with rollout context.

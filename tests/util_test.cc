@@ -428,45 +428,127 @@ std::string ThroughFrame(const std::string& payload) {
 }
 
 TEST(WorkerProtocolBoundsTest, CountsBeyondThePayloadAreRejectedUnsized) {
-  // Each message claims far more entries than its bytes could encode; the
-  // decoder must reject it from the count alone, before sizing anything
-  // (the old decoder resized first: ~24 MB for 2^20 replay steps).
-  WireWriter prefix;
-  prefix.U32(/*flags=*/0);
-  for (size_t i = 0; i < Rng::kStateWords; ++i) prefix.U64(i);
-  prefix.U32(1u << 20);                       // 2^20 steps claimed...
-  for (int i = 0; i < 4; ++i) prefix.U32(0);  // ...in 16 bytes of steps.
-  const std::string bytes = prefix.Take();
-  ASSERT_EQ(bytes.size(), 4 + 8 * Rng::kStateWords + 4 + 16);
-  core::EpisodePrefix ep;
-  EXPECT_FALSE(core::DecodeEpisodePrefix(ThroughFrame(bytes), ep));
-  EXPECT_EQ(ep.replay.capacity(), 0u);
+  // Each message claims 2^20 entries its bytes could never encode; the
+  // decoder must reject it from the count alone, before sizing anything.
+  // An init whose trailing hidden-layer count (0 when encoded) claims 2^20
+  // layers, followed by 16 bytes.
+  std::string init_bytes = core::EncodeWorkerInit(core::WorkerInit{});
+  init_bytes.resize(init_bytes.size() - sizeof(uint32_t));
+  const uint32_t layers = 1u << 20;
+  init_bytes.append(reinterpret_cast<const char*>(&layers), sizeof(layers));
+  init_bytes.append(16, '\0');
+  core::WorkerInit init;
+  EXPECT_FALSE(core::DecodeWorkerInit(ThroughFrame(init_bytes), init));
+  EXPECT_EQ(init.actor_hidden.capacity(), 0u);
 
-  WireWriter actions;  // 2^16 actions claimed in a 16-byte payload.
-  actions.U32(1u << 16);
-  actions.F32(0.0f);
-  actions.F32(0.0f);
-  actions.F32(0.0f);
-  core::WorkerActions wa;
-  EXPECT_FALSE(core::DecodeWorkerActions(ThroughFrame(actions.Take()), wa));
-  EXPECT_EQ(wa.per_agent.capacity(), 0u);
-
-  WireWriter step;  // 2^16 observation rows claimed, none sent.
-  step.U32(/*kind=*/1);
+  WireWriter step;  // 2^20 agent rows claimed in a 24-byte payload.
   step.U32(/*done=*/0);
-  step.U32(1u << 16);
+  step.U32(1u << 20);
   step.U64(0);
-  core::WorkerStepResult result;
-  EXPECT_FALSE(core::DecodeWorkerStepResult(ThroughFrame(step.Take()), result));
-  EXPECT_EQ(result.observations.capacity(), 0u);
+  step.U64(0);
+  core::StepRecord record;
+  EXPECT_FALSE(core::DecodeStepRecord(ThroughFrame(step.Take()), record));
+  EXPECT_EQ(record.obs.capacity(), 0u);
+  EXPECT_EQ(record.he_neighbors.capacity(), 0u);
 
-  // A count the payload does cover still decodes.
-  core::WorkerActions ok_in;
-  ok_in.per_agent = {{0.5f, -0.5f}, {1.0f, 2.0f}};
-  core::WorkerActions ok_out;
-  ASSERT_TRUE(core::DecodeWorkerActions(
-      ThroughFrame(core::EncodeWorkerActions(ok_in)), ok_out));
-  EXPECT_EQ(ok_out.per_agent, ok_in.per_agent);
+  WireWriter end;  // 2^20 terminal rows claimed, one sent.
+  end.U32(1u << 20);
+  end.U64(0);
+  core::EpisodeEnd episode_end;
+  EXPECT_FALSE(core::DecodeEpisodeEnd(ThroughFrame(end.Take()), episode_end));
+  EXPECT_EQ(episode_end.obs.capacity(), 0u);
+
+  // A count the payload does cover still decodes, bit for bit.
+  core::StepRecord ok_in;
+  ok_in.obs = {{0.5f, -0.0f}, {1.0f, 2.0f}};
+  ok_in.state = {3.0f};
+  ok_in.actions = {{0.25f, -0.25f}, {1.5f, -1.5f}};
+  ok_in.logps = {-1.0f, -2.0f};
+  ok_in.rewards = {0.125f, 7.0f};
+  ok_in.he_neighbors = {{1}, {}};
+  ok_in.ho_neighbors = {{}, {0}};
+  ok_in.done = true;
+  core::StepRecord ok_out;
+  ASSERT_TRUE(core::DecodeStepRecord(
+      ThroughFrame(core::EncodeStepRecord(ok_in)), ok_out));
+  EXPECT_EQ(ok_out.obs, ok_in.obs);
+  EXPECT_EQ(ok_out.state, ok_in.state);
+  EXPECT_EQ(ok_out.actions, ok_in.actions);
+  EXPECT_EQ(ok_out.logps, ok_in.logps);
+  EXPECT_EQ(ok_out.rewards, ok_in.rewards);
+  EXPECT_EQ(ok_out.he_neighbors, ok_in.he_neighbors);
+  EXPECT_EQ(ok_out.ho_neighbors, ok_in.ho_neighbors);
+  EXPECT_TRUE(ok_out.done);
+}
+
+TEST(WorkerProtocolBoundsTest, PolicyFrameMustMatchTheInitArchitecture) {
+  core::WorkerInit init;
+  init.actor_hidden = {8, 4};
+  std::vector<core::GaussianActor> sent =
+      core::BuildWorkerActors(init, /*num_agents=*/2, /*obs_dim=*/5);
+  std::vector<core::GaussianActor> held =
+      core::BuildWorkerActors(init, /*num_agents=*/2, /*obs_dim=*/5);
+  Rng rng(3);
+  for (core::GaussianActor& actor : sent) {
+    for (nn::Variable& p : actor.Parameters()) {
+      for (int i = 0; i < p.value().size(); ++i) {
+        p.mutable_value()[i] = static_cast<float>(rng.Gaussian());
+      }
+    }
+  }
+  std::vector<core::GaussianActor*> targets = {&held[0], &held[1]};
+  const auto snapshot = [&] {
+    std::vector<float> values;
+    for (core::GaussianActor* actor : targets) {
+      for (const nn::Variable& p : actor->Parameters()) {
+        for (int i = 0; i < p.value().size(); ++i) {
+          values.push_back(p.value()[i]);
+        }
+      }
+    }
+    return values;
+  };
+  const std::vector<float> before = snapshot();
+  const std::string valid = core::EncodeWorkerPolicy({&sent[0], &sent[1]});
+
+  // Claims 2^20 networks, then 2^20 tensors in the first one, at the
+  // valid size and with 64 bytes more: rejected before anything is
+  // written.
+  for (size_t offset : {size_t{0}, sizeof(uint32_t)}) {
+    std::string bytes = valid;
+    const uint32_t huge = 1u << 20;
+    std::memcpy(&bytes[offset], &huge, sizeof(huge));
+    EXPECT_FALSE(core::DecodeWorkerPolicy(ThroughFrame(bytes), targets));
+    bytes.append(64, '\0');
+    EXPECT_FALSE(core::DecodeWorkerPolicy(ThroughFrame(bytes), targets));
+  }
+  // Right size, wrong shape (the first weight's rows and cols swapped).
+  {
+    std::string bytes = valid;
+    int32_t rows = 0, cols = 0;
+    std::memcpy(&rows, &bytes[8], sizeof(rows));
+    std::memcpy(&cols, &bytes[12], sizeof(cols));
+    std::memcpy(&bytes[8], &cols, sizeof(cols));
+    std::memcpy(&bytes[12], &rows, sizeof(rows));
+    EXPECT_FALSE(core::DecodeWorkerPolicy(ThroughFrame(bytes), targets));
+  }
+  // Truncated, and a policy for one network sent to a worker holding two.
+  EXPECT_FALSE(core::DecodeWorkerPolicy(
+      ThroughFrame(valid.substr(0, valid.size() - 4)), targets));
+  EXPECT_FALSE(core::DecodeWorkerPolicy(
+      ThroughFrame(core::EncodeWorkerPolicy({&sent[0]})), targets));
+  EXPECT_EQ(snapshot(), before);  // Every rejection left the nets alone.
+
+  ASSERT_TRUE(core::DecodeWorkerPolicy(ThroughFrame(valid), targets));
+  for (size_t a = 0; a < sent.size(); ++a) {
+    const std::vector<nn::Variable> want = sent[a].Parameters();
+    const std::vector<nn::Variable> got = held[a].Parameters();
+    for (size_t t = 0; t < want.size(); ++t) {
+      for (int i = 0; i < want[t].value().size(); ++i) {
+        EXPECT_EQ(got[t].value()[i], want[t].value()[i]);
+      }
+    }
+  }
 }
 
 TEST(FrameReaderEdgeTest, LengthPastTheCapIsCorruptBeforeAllocating) {

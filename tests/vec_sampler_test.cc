@@ -1,8 +1,9 @@
-// Determinism tests for the vectorized rollout sampler: bit-identical
+// Determinism tests for the in-process rollout sampler: bit-identical
 // collection for a fixed (seed, num_workers) pair, exact equivalence of
-// the single-worker vectorized path with the legacy sequential sampler,
-// stable worker-order merging, and bit-exact checkpoint resume with
-// worker RNG streams (the "vrng" checkpoint section).
+// the single-worker path with a hand-written Reset/Act/Step loop (every
+// buffer field, terminal successors included), stable worker-order
+// merging, and bit-exact checkpoint resume with worker RNG streams (the
+// "vrng" checkpoint section).
 
 #include <unistd.h>
 
@@ -135,23 +136,25 @@ TEST(RngSplitTest, ChildDiffersFromParentStream) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct VecSampler collection with a deterministic dummy actor.
+// Direct VecSampler collection with small untrained actors.
 // ---------------------------------------------------------------------------
 
-/// A policy-free BatchActFn: each row's action is a pure function of that
-/// row's private stream (one Gaussian per action dim, drawn in row order,
-/// exactly like the real sampler).
-void DummyAct(int /*k*/, const std::vector<const std::vector<float>*>& rows,
-              const std::vector<util::Rng*>& rngs,
-              std::vector<std::array<float, 2>>& actions_out,
-              std::vector<float>& logps_out) {
-  ASSERT_EQ(rows.size(), rngs.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    actions_out[i] = {static_cast<float>(rngs[i]->Gaussian()),
-                      static_cast<float>(rngs[i]->Gaussian())};
-    logps_out[i] = static_cast<float>(i);
+/// One untrained actor per agent of the small env (hidden {16}).
+struct TestActors {
+  std::vector<core::GaussianActor> nets;
+  core::RolloutActors rollout;
+
+  explicit TestActors(const env::ScEnv& env) {
+    util::Rng rng(5);
+    core::NetConfig net;
+    net.hidden = {16};
+    nets.reserve(static_cast<size_t>(env.num_agents()));
+    for (int k = 0; k < env.num_agents(); ++k) {
+      nets.emplace_back(env.obs_dim(), env::ScEnv::kActionDim, net, rng);
+      rollout.per_agent.push_back(&nets.back());
+    }
   }
-}
+};
 
 TEST(VecSamplerTest, RejectsNonPositiveWorkerCount) {
   env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
@@ -163,11 +166,12 @@ TEST(VecSamplerTest, MergedBufferHasEpisodeShapeAndStableOrder) {
   env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
   util::Rng rng(11);
   core::VecSampler sampler(env, rng, 2, 11);
+  const TestActors actors(env);
 
   core::MultiAgentBuffer buffer(env.num_agents());
   std::vector<env::Metrics> metrics;
   constexpr int kEpisodes = 3;
-  sampler.Collect(kEpisodes, DummyAct, buffer, metrics);
+  sampler.Collect(kEpisodes, actors.rollout, buffer, metrics);
 
   // Fixed-length episodes: every episode contributes exactly kTimeslots
   // steps, and the merge is episode-contiguous, so done flags sit exactly
@@ -190,9 +194,10 @@ TEST(VecSamplerTest, CollectionIsBitIdenticalAcrossRuns) {
     env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
     util::Rng rng(11);
     core::VecSampler sampler(env, rng, num_workers, 11);
+    const TestActors actors(env);
     core::MultiAgentBuffer buffer(env.num_agents());
     std::vector<env::Metrics> metrics;
-    sampler.Collect(episodes, DummyAct, buffer, metrics);
+    sampler.Collect(episodes, actors.rollout, buffer, metrics);
     return buffer;
   };
   for (const int workers : {1, 2, 4}) {
@@ -208,9 +213,10 @@ TEST(VecSamplerTest, MoreWorkersThanEpisodesStillDeterministic) {
     env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
     util::Rng rng(11);
     core::VecSampler sampler(env, rng, 8, 11);
+    const TestActors actors(env);
     core::MultiAgentBuffer buffer(env.num_agents());
     std::vector<env::Metrics> metrics;
-    sampler.Collect(3, DummyAct, buffer, metrics);
+    sampler.Collect(3, actors.rollout, buffer, metrics);
     EXPECT_EQ(metrics.size(), 3u);
     return buffer;
   };
@@ -224,32 +230,82 @@ TEST(VecSamplerTest, MoreWorkersThanEpisodesStillDeterministic) {
 // Trainer-level equivalence and determinism.
 // ---------------------------------------------------------------------------
 
-TEST(VecSamplerTrainerTest, SingleWorkerMatchesLegacySamplerBitExactly) {
-  // num_workers == 0 runs the legacy sequential sampling loop (kept as the
-  // reference implementation); num_workers == 1 routes through the
-  // vectorized sampler with batch size 1. The two must agree bit-for-bit:
-  // same RNG draw order, same row math.
-  env::ScEnv env_legacy(SmallEnvConfig(), SmallDataset(), 11);
-  core::HiMadrlTrainer legacy(env_legacy, SmallTrainConfig(0));
-  env::ScEnv env_vec(SmallEnvConfig(), SmallDataset(), 11);
-  core::HiMadrlTrainer vec(env_vec, SmallTrainConfig(1));
+TEST(VecSamplerTest, SingleWorkerMatchesAHandWrittenLoopBitExactly) {
+  // The reference is written out here, independent of RunEpisode and
+  // BufferSink: Reset, one Act per agent from the sampling stream, Step,
+  // append every field. Successors are compared too, including the
+  // terminal next_obs/next_states that the learner masks on done rows and
+  // that the proc workers ship in their episode-end record.
+  constexpr int kEpisodes = 3;
+  env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+  util::Rng rng(11);
+  const TestActors actors(env);
+  core::VecSampler sampler(env, rng, 1, 11);
+  core::MultiAgentBuffer buffer(env.num_agents());
+  std::vector<env::Metrics> metrics;
+  sampler.Collect(kEpisodes, actors.rollout, buffer, metrics);
 
-  legacy.CollectRollouts();
-  vec.CollectRollouts();
-  ExpectBuffersBitEqual(legacy.buffer(), vec.buffer());
+  env::ScEnv ref_env(SmallEnvConfig(), SmallDataset(), 11);
+  util::Rng ref_rng(11);
+  const int n = ref_env.num_agents();
+  core::MultiAgentBuffer ref(n);
+  std::vector<env::Metrics> ref_metrics;
+  for (int e = 0; e < kEpisodes; ++e) {
+    env::StepResult cur, next;
+    ref_env.Reset(cur);
+    do {
+      std::vector<env::UvAction> uv(static_cast<size_t>(n));
+      std::vector<std::vector<float>> raw(static_cast<size_t>(n));
+      std::vector<float> logps(static_cast<size_t>(n));
+      for (int k = 0; k < n; ++k) {
+        raw[k] = actors.nets[k].Act(cur.observations[k], ref_rng,
+                                    /*deterministic=*/false, &logps[k]);
+        uv[k] = {raw[k][0], raw[k][1]};
+      }
+      ref_env.Step(uv, next);
+      for (int k = 0; k < n; ++k) {
+        core::AgentRollout& ar = ref.agents[k];
+        ar.obs.push_back(cur.observations[k]);
+        ar.next_obs.push_back(next.observations[k]);
+        ar.action_dir.push_back(raw[k][0]);
+        ar.action_speed.push_back(raw[k][1]);
+        ar.logp_old.push_back(logps[k]);
+        ar.reward_ext.push_back(static_cast<float>(next.rewards[k]));
+        ar.he_neighbors.push_back(ref_env.HeterogeneousNeighbors(k));
+        ar.ho_neighbors.push_back(ref_env.HomogeneousNeighbors(k));
+        ar.done.push_back(next.done ? 1 : 0);
+      }
+      ref.states.push_back(cur.state);
+      ref.next_states.push_back(next.state);
+      ref.done.push_back(next.done ? 1 : 0);
+      cur = next;
+    } while (!cur.done);
+    ref_metrics.push_back(ref_env.EpisodeMetrics());
+  }
 
-  // And full training stays in lock-step: after two iterations the entire
-  // persisted state (params, optimizers, RNGs, counters) is byte-equal.
-  // Neither side writes a vrng section, so the files can be compared raw.
-  legacy.TrainTo(2);
-  vec.TrainTo(2);
-  const std::string legacy_path = TempPath("legacy.agsc");
-  const std::string vec_path = TempPath("vec1.agsc");
-  ASSERT_TRUE(legacy.SaveCheckpoint(legacy_path));
-  ASSERT_TRUE(vec.SaveCheckpoint(vec_path));
-  EXPECT_EQ(ReadFileBytes(legacy_path), ReadFileBytes(vec_path));
-  std::remove(legacy_path.c_str());
-  std::remove(vec_path.c_str());
+  ExpectBuffersBitEqual(ref, buffer);
+  // The terminal successors explicitly: the last row of every episode.
+  for (int e = 0; e < kEpisodes; ++e) {
+    const size_t last = static_cast<size_t>((e + 1) * kTimeslots - 1);
+    ASSERT_EQ(buffer.done[last], 1);
+    EXPECT_EQ(buffer.next_states[last], ref.next_states[last]);
+    for (int k = 0; k < n; ++k) {
+      EXPECT_EQ(buffer.agents[k].next_obs[last], ref.agents[k].next_obs[last])
+          << "episode " << e << " agent " << k;
+    }
+  }
+  ASSERT_EQ(metrics.size(), ref_metrics.size());
+  for (size_t i = 0; i < metrics.size(); ++i) {
+    EXPECT_EQ(metrics[i].ToVector(), ref_metrics[i].ToVector());
+  }
+  EXPECT_EQ(rng.SaveState(), ref_rng.SaveState());
+  EXPECT_EQ(env.rng().SaveState(), ref_env.rng().SaveState());
+}
+
+TEST(VecSamplerTrainerTest, ZeroWorkersIsRejected) {
+  env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
+  EXPECT_THROW(core::HiMadrlTrainer(env, SmallTrainConfig(0)),
+               std::invalid_argument);
 }
 
 TEST(VecSamplerTrainerTest, SameSeedSameWorkersIsBitIdentical) {
@@ -327,8 +383,8 @@ TEST(VecSamplerTrainerTest, WorkerCountMismatchOnLoadIsRejected) {
     ASSERT_TRUE(trainer.SaveCheckpoint(w1_path));
   }
 
-  // W=3 file into W=2, W=1 and legacy (W=0) trainers: all rejected.
-  for (const int workers : {2, 1, 0}) {
+  // W=3 file into W=2 and W=1 trainers: both rejected.
+  for (const int workers : {2, 1}) {
     env::ScEnv env(SmallEnvConfig(), SmallDataset(), 11);
     core::HiMadrlTrainer trainer(env, SmallTrainConfig(workers));
     EXPECT_FALSE(trainer.LoadCheckpoint(w3_path)) << "workers=" << workers;

@@ -30,7 +30,7 @@
 // --proc-workers W moves those replicas into W crash-isolated agsc_worker
 // subprocesses (mutually exclusive with --num-workers): a worker that
 // crashes, hangs, or corrupts its pipe is killed, respawned with bounded
-// backoff, and its episode shard is replayed deterministically, so the
+// backoff, and its unfinished episode is re-run deterministically, so the
 // produced rollouts — and checkpoints — stay bit-identical to
 // --num-workers W for the same seed. Checkpoints resume across modes.
 // --listen HOST:PORT + --remote-workers W keep the same crash-isolated
@@ -39,7 +39,7 @@
 // `agsc_worker --connect HOST:PORT` processes — containers, other hosts, a
 // test harness — register for the worker slots. A dropped connection is
 // the remote analogue of a worker crash: the worker reconnects (or a
-// replacement registers) and the episode shard replays deterministically,
+// replacement registers) and the episode is re-run deterministically,
 // so rollouts and checkpoints stay bit-identical to --num-workers W.
 // --nn-threads T parallelizes the large GEMMs of the optimize phase over T
 // workers and --nn-naive falls back to the reference kernels; both are
@@ -62,8 +62,8 @@
 //    sampling-timeslot boundary: the trainer flushes a final checkpoint and
 //    the stats CSV, then exits with code 8. A second signal aborts
 //    immediately with code 9 (no flush).
-//  * --watchdog-sec S bounds every parallel rollout step batch; a worker
-//    hung longer than S seconds is reported (worker id + timeslot) and the
+//  * --watchdog-sec S bounds every rollout env step; an in-process worker
+//    silent longer than S seconds is reported (worker id + episode) and the
 //    process fail-fast exits with code 7 instead of deadlocking.
 //  * --oracle-check-every N cross-checks the optimized env/NN paths against
 //    their retained naive oracles every N iterations and permanently falls

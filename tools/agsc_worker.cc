@@ -10,22 +10,24 @@
 //    connection opens with a kMsgRegister frame claiming this worker's
 //    `--worker-id` slot; a dropped connection (trainer-side escalation or
 //    a real network fault) is answered by reconnecting with bounded
-//    backoff and re-registering — the trainer replays the episode prefix,
-//    so the rollout stays bit-identical.
+//    backoff and re-registering — the trainer re-sends the episode, so the
+//    rollout stays bit-identical.
 //
-// The worker owns a single environment replica rebuilt deterministically
-// from the kMsgInit frame and steps it under the trainer's direction; the
-// trainer keeps the policy, the sampling RNG streams, and the rollout
-// buffers, so a worker crash loses nothing that cannot be replayed.
+// The worker owns one environment replica and a copy of the actors, both
+// rebuilt from the kMsgInit frame; the parameters arrive in kMsgPolicy.
+// Each kMsgEpisode frame names the RNG states an episode starts from, and
+// the worker runs the whole episode (core::RunEpisode), streaming one
+// record per step. The trainer keeps the streams and the rollout buffers,
+// so a worker crash loses nothing that cannot be re-run.
 //
 // Lifecycle contract: the worker never outlives its transport. EOF on
 // stdin — the trainer died or dropped this incarnation — is a clean exit;
 // EOF on a socket triggers a reconnect. A protocol violation is a loud
 // nonzero exit (local) or a reconnect (remote; the trainer observes EOF
-// and replays). SIGINT/SIGTERM are ignored: a terminal ^C must reach only
-// the trainer, which winds the fleet down cooperatively (kMsgShutdown /
-// transport close), and SIGKILL remains the trainer's escalation path for
-// a hung local worker.
+// and re-runs the episode). SIGINT/SIGTERM are ignored: a terminal ^C
+// must reach only the trainer, which winds the fleet down cooperatively
+// (kMsgShutdown / transport close), and SIGKILL remains the trainer's
+// escalation path for a hung local worker.
 
 #include <signal.h>
 #include <unistd.h>
@@ -37,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "core/vec_sampler.h"
 #include "core/worker_protocol.h"
 #include "env/sc_env.h"
 #include "map/trace.h"
@@ -53,18 +56,12 @@
 
 namespace {
 
-using agsc::core::DecodeEpisodePrefix;
-using agsc::core::DecodeWorkerActions;
 using agsc::core::DecodeWorkerInit;
 using agsc::core::EncodeWorkerHello;
 using agsc::core::EncodeWorkerRegister;
-using agsc::core::EncodeWorkerStepResult;
-using agsc::core::EpisodePrefix;
-using agsc::core::WorkerActions;
 using agsc::core::WorkerHello;
 using agsc::core::WorkerInit;
 using agsc::core::WorkerRegister;
-using agsc::core::WorkerStepResult;
 
 void PrintUsage() {
   std::fprintf(
@@ -81,46 +78,61 @@ void PrintUsage() {
       "connection drops.\n");
 }
 
-/// Packages one Reset/Step outcome (plus the post-step RNG position and,
-/// when the episode ended, its metrics) for the wire.
-WorkerStepResult BuildResult(agsc::env::ScEnv& env,
-                             const agsc::env::StepResult& step,
-                             bool is_reset) {
-  WorkerStepResult result;
-  result.is_reset = is_reset;
-  result.done = step.done;
-  result.observations = step.observations;
-  result.state = step.state;
-  if (!is_reset) {
-    result.rewards = step.rewards;
-    const int num_agents = env.num_agents();
-    result.he_neighbors.resize(static_cast<size_t>(num_agents));
-    result.ho_neighbors.resize(static_cast<size_t>(num_agents));
-    for (int k = 0; k < num_agents; ++k) {
-      const std::vector<int> he = env.HeterogeneousNeighbors(k);
-      const std::vector<int> ho = env.HomogeneousNeighbors(k);
-      result.he_neighbors[static_cast<size_t>(k)].assign(he.begin(), he.end());
-      result.ho_neighbors[static_cast<size_t>(k)].assign(ho.begin(), ho.end());
-    }
-    if (step.done) result.metrics = env.EpisodeMetrics();
-  }
-  result.rng_state = env.rng().SaveState();
-  return result;
-}
+/// Streams one episode to the trainer: a record per env step, then the
+/// episode end. KILL_WORKER_NTH counts env steps; CORRUPT_FRAME and
+/// STALL_PIPE count outgoing records of either kind. Throws SendFailed
+/// when the transport breaks.
+class StreamSink : public agsc::core::EpisodeSink {
+ public:
+  struct SendFailed {};
 
-void ToUvActions(const WorkerActions& actions,
-                 std::vector<agsc::env::UvAction>& out) {
-  out.resize(actions.per_agent.size());
-  for (size_t k = 0; k < actions.per_agent.size(); ++k) {
-    out[k] = {actions.per_agent[k][0], actions.per_agent[k][1]};
+  StreamSink(agsc::util::FrameWriter& writer, uint64_t& out_seq,
+             int worker_id)
+      : writer_(writer), out_seq_(out_seq), worker_id_(worker_id) {}
+
+  void Step(const agsc::core::StepRecord& record) override {
+    if (agsc::util::FaultInjector::Instance().KillWorkerNow()) {
+      AGSC_LOG(kWarning) << "worker " << worker_id_
+                         << ": injected SIGKILL (KILL_WORKER_NTH)";
+      ::raise(SIGKILL);
+    }
+    Send(agsc::core::kMsgStepRecord, agsc::core::EncodeStepRecord(record));
   }
-}
+
+  void End(const agsc::core::EpisodeEnd& end) override {
+    Send(agsc::core::kMsgEpisodeEnd, agsc::core::EncodeEpisodeEnd(end));
+  }
+
+ private:
+  void Send(uint32_t type, const std::string& payload) {
+    const agsc::util::FaultInjector::FrameFault fault =
+        agsc::util::FaultInjector::Instance().NextFrameFault();
+    if (fault.stall_ms > 0) {
+      AGSC_LOG(kWarning) << "worker " << worker_id_
+                         << ": injected pipe stall of " << fault.stall_ms
+                         << " ms";
+      ::usleep(static_cast<useconds_t>(fault.stall_ms) * 1000);
+    }
+    if (fault.corrupt_byte >= 0) {
+      AGSC_LOG(kWarning) << "worker " << worker_id_
+                         << ": injected frame corruption";
+    }
+    if (writer_.Write(type, out_seq_++, payload, /*timeout_ms=*/-1,
+                      fault.corrupt_byte) != agsc::util::IpcStatus::kOk) {
+      throw SendFailed{};
+    }
+  }
+
+  agsc::util::FrameWriter& writer_;
+  uint64_t& out_seq_;
+  int worker_id_;
+};
 
 /// Arms/disarms the process-global fault campaigns for one session.
 /// `incarnation` is the local --incarnation flag or the remote connection
 /// counter; faults target (worker id, incarnation 0) except STALL_READS,
 /// which carries its own incarnation knob so a stall can be aimed at a
-/// *respawned* incarnation's large replay prefix.
+/// *respawned* incarnation's policy frame.
 void ScopeWorkerFaults(int worker_id, int incarnation) {
   agsc::util::FaultInjector& faults = agsc::util::FaultInjector::Instance();
   const int fault_target = agsc::util::GetEnvOr("AGSC_FAULT_WORKER_ID", -1);
@@ -138,7 +150,7 @@ void ScopeWorkerFaults(int worker_id, int incarnation) {
 /// Outcome of one session (one pipe lifetime / one TCP connection).
 enum class SessionEnd {
   kShutdown,   ///< kMsgShutdown or clean EOF: exit 0.
-  kReconnect,  ///< Remote only: transport fault/drop; reconnect + replay.
+  kReconnect,  ///< Remote only: transport fault/drop; reconnect + re-run.
   kFailure,    ///< Fatal: exit with the returned code.
 };
 
@@ -160,24 +172,6 @@ SessionEnd RunSession(agsc::util::FrameReader& reader,
     return SessionEnd::kFailure;
   };
 
-  const auto send_result = [&](const WorkerStepResult& result) {
-    const agsc::util::FaultInjector::FrameFault fault =
-        faults.NextFrameFault();
-    if (fault.stall_ms > 0) {
-      AGSC_LOG(kWarning) << "worker " << worker_id
-                         << ": injected pipe stall of " << fault.stall_ms
-                         << " ms";
-      ::usleep(static_cast<useconds_t>(fault.stall_ms) * 1000);
-    }
-    if (fault.corrupt_byte >= 0) {
-      AGSC_LOG(kWarning) << "worker " << worker_id
-                         << ": injected frame corruption";
-    }
-    return writer.Write(agsc::core::kMsgStepResult, out_seq++,
-                        EncodeWorkerStepResult(result), /*timeout_ms=*/-1,
-                        fault.corrupt_byte) == agsc::util::IpcStatus::kOk;
-  };
-
   // Injected read-side faults (STALL_READS / DROP_CONN), consulted before
   // every incoming frame. Returns false when the session must drop.
   const auto apply_read_fault = [&]() {
@@ -196,7 +190,7 @@ SessionEnd RunSession(agsc::util::FrameReader& reader,
     return true;
   };
 
-  // --- Handshake: kMsgInit -> rebuild the env -> kMsgHello. ---
+  // --- Handshake: kMsgInit -> rebuild the env and actors -> kMsgHello. ---
   agsc::util::Frame frame;
   if (!apply_read_fault()) return fail(agsc::util::kExitIoError);
   agsc::util::IpcStatus status = reader.Read(frame, /*timeout_ms=*/-1);
@@ -216,18 +210,28 @@ SessionEnd RunSession(agsc::util::FrameReader& reader,
   }
 
   std::unique_ptr<agsc::env::ScEnv> env;
+  std::vector<agsc::core::GaussianActor> actors;
   try {
-    // The ctor seed is irrelevant: every episode prefix loads the exact RNG
+    // The ctor seed is irrelevant: every episode frame loads the exact RNG
     // state this shard's stream is at, so the env is reconstructible from
     // (campus, config) alone.
     env = std::make_unique<agsc::env::ScEnv>(
         init.config, agsc::map::BuildDataset(init.campus, init.config.num_pois),
         /*seed=*/0);
+    actors = agsc::core::BuildWorkerActors(init, env->num_agents(),
+                                           env->obs_dim());
   } catch (const std::exception& e) {
     AGSC_LOG(kError) << "worker " << worker_id
-                     << ": env rebuild failed: " << e.what();
+                     << ": env/actor rebuild failed: " << e.what();
     *exit_code = agsc::util::kExitConfig;
     return SessionEnd::kFailure;
+  }
+  agsc::core::RolloutActors rollout;
+  rollout.share_params = init.share_params;
+  std::vector<agsc::core::GaussianActor*> nets;
+  for (agsc::core::GaussianActor& actor : actors) nets.push_back(&actor);
+  for (int k = 0; k < env->num_agents(); ++k) {
+    rollout.per_agent.push_back(nets[init.share_params ? 0 : k]);
   }
 
   WorkerHello hello;
@@ -240,9 +244,14 @@ SessionEnd RunSession(agsc::util::FrameReader& reader,
     return fail(agsc::util::kExitIoError);
   }
 
-  // --- Steady state: episode prefixes and steps until shutdown/EOF. ---
-  agsc::env::StepResult step;
-  std::vector<agsc::env::UvAction> uv_actions;
+  // --- Steady state: policies and episodes until shutdown/EOF. ---
+  const auto reject = [&](const char* what) {
+    AGSC_LOG(kError) << "worker " << worker_id << ": " << what;
+    *exit_code = agsc::util::kExitConfig;
+    return SessionEnd::kFailure;
+  };
+  bool has_policy = false;
+  StreamSink sink(writer, out_seq, worker_id);
   for (;;) {
     if (!apply_read_fault()) return fail(agsc::util::kExitIoError);
     status = reader.Read(frame, /*timeout_ms=*/-1);
@@ -260,52 +269,36 @@ SessionEnd RunSession(agsc::util::FrameReader& reader,
       case agsc::core::kMsgShutdown:
         return SessionEnd::kShutdown;
 
-      case agsc::core::kMsgEpisodePrefix: {
-        EpisodePrefix prefix;
-        if (!DecodeEpisodePrefix(frame.payload, prefix)) {
-          AGSC_LOG(kError) << "worker " << worker_id
-                           << ": episode prefix rejected";
-          *exit_code = agsc::util::kExitConfig;
-          return SessionEnd::kFailure;
+      case agsc::core::kMsgPolicy:
+        if (!agsc::core::DecodeWorkerPolicy(frame.payload, nets)) {
+          return reject("policy rejected (does not match the init shape)");
         }
-        if ((prefix.flags & agsc::core::kPrefixNaiveEnv) != 0) {
+        has_policy = true;
+        break;
+
+      case agsc::core::kMsgEpisode: {
+        agsc::core::WorkerEpisode episode;
+        if (!agsc::core::DecodeWorkerEpisode(frame.payload, episode)) {
+          return reject("episode frame rejected");
+        }
+        if (!has_policy) return reject("episode frame before any policy");
+        if ((episode.flags & agsc::core::kEpisodeNaiveEnv) != 0) {
           env->DisableSpatialIndex();
         }
-        if ((prefix.flags & agsc::core::kPrefixScalarChannel) != 0) {
+        if ((episode.flags & agsc::core::kEpisodeScalarChannel) != 0) {
           env->DisableChannelBatch();
         }
-        env->rng().LoadState(prefix.rng_state);
-        env->Reset(step);
-        bool replayed = false;
-        for (const WorkerActions& actions : prefix.replay) {
-          ToUvActions(actions, uv_actions);
-          env->Step(uv_actions, step);
-          replayed = true;
+        if ((episode.flags & agsc::core::kEpisodeNaiveNn) != 0) {
+          agsc::nn::KernelConfig kernels = agsc::nn::GetKernelConfig();
+          kernels.gemm = agsc::nn::GemmKernel::kNaive;
+          agsc::nn::SetKernelConfig(kernels);
         }
-        if (!send_result(BuildResult(*env, step, !replayed))) {
-          return fail(agsc::util::kExitIoError);
-        }
-        break;
-      }
-
-      case agsc::core::kMsgStep: {
-        if (faults.KillWorkerNow()) {
-          AGSC_LOG(kWarning) << "worker " << worker_id
-                             << ": injected SIGKILL (KILL_WORKER_NTH)";
-          ::raise(SIGKILL);
-        }
-        WorkerActions actions;
-        if (!DecodeWorkerActions(frame.payload, actions) ||
-            static_cast<int>(actions.per_agent.size()) !=
-                env->num_agents()) {
-          AGSC_LOG(kError) << "worker " << worker_id
-                           << ": step actions rejected";
-          *exit_code = agsc::util::kExitConfig;
-          return SessionEnd::kFailure;
-        }
-        ToUvActions(actions, uv_actions);
-        env->Step(uv_actions, step);
-        if (!send_result(BuildResult(*env, step, /*is_reset=*/false))) {
+        env->rng().LoadState(episode.env_rng);
+        agsc::util::Rng rng(0);
+        rng.LoadState(episode.sample_rng);
+        try {
+          agsc::core::RunEpisode(*env, rollout, rng, sink);
+        } catch (const StreamSink::SendFailed&) {
           return fail(agsc::util::kExitIoError);
         }
         break;
