@@ -1320,23 +1320,32 @@ bool HiMadrlTrainer::LoadCheckpointV2(const std::string& path) {
   return true;
 }
 
+std::vector<std::string> ListCheckpointFiles(const std::string& dir,
+                                             std::error_code* ec) {
+  namespace fs = std::filesystem;
+  std::error_code local_ec;
+  std::error_code& err = ec != nullptr ? *ec : local_ec;
+  std::vector<std::string> paths;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, err)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("ckpt_") && name.ends_with(".agsc")) {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
 bool HiMadrlTrainer::LoadLatestCheckpoint(const std::string& dir) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  std::vector<std::string> candidates;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt_", 0) == 0 && name.size() > 5 &&
-        name.ends_with(".agsc")) {
-      candidates.push_back(entry.path().string());
-    }
-  }
+  std::vector<std::string> candidates = ListCheckpointFiles(dir, &ec);
   if (ec) {
     AGSC_LOG(kError) << "checkpoint dir " << dir << ": " << ec.message();
     return false;
   }
   // Newest first (zero-padded iteration numbers sort lexicographically).
-  std::sort(candidates.rbegin(), candidates.rend());
+  std::reverse(candidates.begin(), candidates.end());
   // Honor the `latest` pointer when it names an existing candidate.
   std::ifstream latest_in(fs::path(dir) / "latest");
   std::string latest_name;
@@ -1374,14 +1383,8 @@ void HiMadrlTrainer::WriteAutoCheckpoint() {
   util::AtomicWriteFileRetry((dir / "latest").string(),
                              std::string(name) + "\n", config_.io_retry);
   // Keep-last-K retention over ckpt_*.agsc files.
-  std::vector<fs::path> retained;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string fname = entry.path().filename().string();
-    if (fname.rfind("ckpt_", 0) == 0 && fname.ends_with(".agsc")) {
-      retained.push_back(entry.path());
-    }
-  }
-  std::sort(retained.begin(), retained.end());
+  const std::vector<std::string> retained =
+      ListCheckpointFiles(config_.checkpoint_dir);
   const size_t keep = static_cast<size_t>(std::max(1, config_.checkpoint_keep));
   for (size_t i = 0; i + keep < retained.size(); ++i) {
     fs::remove(retained[i], ec);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/copo.h"
@@ -215,6 +216,12 @@ namespace internal {
 /// per-agent fan-out.
 void SetAgentPoolWidthForTesting(int width);
 }  // namespace internal
+
+/// Paths of the auto-checkpoint files (ckpt_*.agsc) in `dir`, sorted by
+/// name, i.e. oldest iteration first. Empty when `dir` is missing or
+/// unreadable; `ec`, when given, receives the directory error.
+std::vector<std::string> ListCheckpointFiles(const std::string& dir,
+                                             std::error_code* ec = nullptr);
 
 /// The h/i-MADRL trainer (Algorithm 1): a PPO-family base module plus the
 /// i-EOI and h-CoPO plug-ins. Also acts as an evaluation `Policy`.

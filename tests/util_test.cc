@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -14,7 +15,9 @@
 #include "core/worker_protocol.h"
 #include "util/csv.h"
 #include "util/env_flags.h"
+#include "util/flags.h"
 #include "util/ipc.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -306,6 +309,134 @@ TEST(EnvFlagsTest, FallbacksWhenUnset) {
   EXPECT_EQ(GetEnvOr("AGSC_DOES_NOT_EXIST", std::string("dflt")), "dflt");
   EXPECT_EQ(GetEnvOr("AGSC_DOES_NOT_EXIST", 42), 42);
   EXPECT_DOUBLE_EQ(GetEnvOr("AGSC_DOES_NOT_EXIST", 2.5), 2.5);
+}
+
+/// One target per FlagTable value kind, all starting inside their range.
+struct FlagTargets {
+  int count = 5;
+  double ratio = 0.5;
+  uint64_t seed = 1;
+  std::string mode = "a";
+  std::string path;
+  bool on = false;
+};
+
+FlagTable MakeFlagTable(FlagTargets* t) {
+  FlagTable flags("fuzz", "");
+  flags.Int("--count", "N", -3, 7, &t->count);
+  flags.Double("--ratio", "R", -1.0, 1.0, &t->ratio);
+  flags.Uint64("--seed", "S", &t->seed);
+  flags.OneOf("--mode", {"a", "b"}, &t->mode);
+  flags.String("--path", "P", &t->path);
+  flags.Switch("--on", &t->on);
+  return flags;
+}
+
+FlagTable::Outcome ParseArgv(FlagTable& flags,
+                             const std::vector<std::string>& args,
+                             std::ostream& err) {
+  std::vector<const char*> argv = {"fuzz"};
+  for (const std::string& a : args) argv.push_back(a.c_str());
+  return flags.Parse(static_cast<int>(argv.size()), argv.data(), err);
+}
+
+TEST(FlagTableTest, GivenHelpAndVersion) {
+  FlagTargets t;
+  FlagTable flags = MakeFlagTable(&t);
+  std::ostringstream err;
+  EXPECT_EQ(ParseArgv(flags, {"--count", "7", "--on", "--count", "-3"}, err),
+            FlagTable::Outcome::kOk);
+  EXPECT_EQ(t.count, -3);  // The last value wins.
+  EXPECT_TRUE(t.on);
+  EXPECT_TRUE(flags.Given("--count"));
+  EXPECT_FALSE(flags.Given("--ratio"));
+  EXPECT_EQ(ParseArgv(flags, {"-h", "--bogus"}, err),
+            FlagTable::Outcome::kHelp);
+  EXPECT_EQ(ParseArgv(flags, {"--build-info", "--bogus"}, err),
+            FlagTable::Outcome::kVersion);
+  EXPECT_FALSE(flags.Given("--count"));  // Reset by every Parse.
+  EXPECT_EQ(err.str(), "");
+  std::ostringstream usage;
+  flags.PrintUsage(usage);
+  EXPECT_EQ(usage.str(),
+            "usage: fuzz [--count N] [--ratio R] [--seed S] [--mode a|b] "
+            "[--path P]\n  [--on] [--help] [--version|--build-info]\n");
+}
+
+// CLI input is a trust boundary: 10^4 seeded random argv vectors of flag
+// names and hostile tokens. Every parse must end in success or a usage
+// error, no target may ever leave its range, and a rejected value must
+// leave its target untouched. A reference model replays each argv with
+// the util/parse primitives, which leave their output untouched on failure.
+TEST(FlagTableTest, RandomArgvStaysInRangeAndRejectsWithoutSideEffects) {
+  const std::vector<std::string> tokens = {
+      "--count", "--ratio", "--seed", "--mode", "--path", "--on",
+      "", "-0", "1e309", "-1e309", "inf", "-inf", "nan", "--", "-",
+      "7", "8", "-3", "-4", "0.5", "1", "-1", "1.0000001", "a", "b", "A",
+      "18446744073709551615", "18446744073709551616", " 1", "1 ", "0x1",
+      std::string(10000, '9'), std::string(10000, 'x')};
+  Rng rng(16);
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 10000; ++iter) {
+    std::vector<std::string> args(rng.NextU64() % 9);
+    for (std::string& a : args) a = tokens[rng.NextU64() % tokens.size()];
+    FlagTargets got;
+    FlagTable flags = MakeFlagTable(&got);
+    std::ostringstream err;
+    const FlagTable::Outcome outcome = ParseArgv(flags, args, err);
+
+    FlagTargets want;
+    bool want_error = false;
+    for (size_t i = 0; i < args.size() && !want_error; ++i) {
+      const std::string& flag = args[i];
+      if (flag == "--on") {
+        want.on = true;
+        continue;
+      }
+      const bool known = flag == "--count" || flag == "--ratio" ||
+                         flag == "--seed" || flag == "--mode" ||
+                         flag == "--path";
+      if (!known || i + 1 >= args.size()) {
+        want_error = true;
+        break;
+      }
+      const std::string& v = args[++i];
+      if (flag == "--count") {
+        want_error = !ParseIntInRange(v, -3, 7, &want.count);
+      } else if (flag == "--ratio") {
+        want_error = !ParseDoubleInRange(v, -1.0, 1.0, &want.ratio);
+      } else if (flag == "--seed") {
+        want_error = !ParseUint64(v, &want.seed);
+      } else if (flag == "--mode") {
+        want_error = v != "a" && v != "b";
+        if (!want_error) want.mode = v;
+      } else {
+        want.path = v;
+      }
+    }
+
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    ASSERT_TRUE(outcome == FlagTable::Outcome::kOk ||
+                outcome == FlagTable::Outcome::kError);
+    ASSERT_EQ(outcome == FlagTable::Outcome::kError, want_error);
+    ASSERT_EQ(err.str().empty(), !want_error) << err.str();
+    (want_error ? rejected : accepted) += 1;
+    ASSERT_GE(got.count, -3);
+    ASSERT_LE(got.count, 7);
+    ASSERT_GE(got.ratio, -1.0);  // Also false for NaN.
+    ASSERT_LE(got.ratio, 1.0);
+    ASSERT_TRUE(got.mode == "a" || got.mode == "b");
+    ASSERT_EQ(got.count, want.count);
+    ASSERT_EQ(got.ratio, want.ratio);
+    ASSERT_EQ(got.seed, want.seed);
+    ASSERT_EQ(got.mode, want.mode);
+    ASSERT_EQ(got.path, want.path);
+    ASSERT_EQ(got.on, want.on);
+  }
+  // Both outcomes are well exercised.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(EnvFlagsTest, ParsesSetValues) {

@@ -1,26 +1,16 @@
 // Low-latency policy dispatch service: the serving counterpart of
 // agsc_train.
 //
-//   agsc_serve --snapshot FILE | --snapshot-dir DIR [--watch]
-//              [--watch-poll-ms MS] [--max-batch N] [--deadline-ms MS]
-//              [--max-queue N] [--per-client-inflight N] [--admission 0|1]
-//              [--sessions S] [--clients C] [--requests N]
-//              [--duration-sec S] [--stats-json FILE]
-//              [--listen HOST:PORT] [--port-file FILE]
-//              [--write-budget-ms MS] [--listen-sndbuf BYTES]
-//              [--max-pipeline N]
-//              [--campus purdue|ncsu] [--timeslots T] [--pois I]
-//              [--uavs U] [--ugvs G] [--subchannels Z] [--height M]
-//              [--threshold DB] [--medium noma|tdma|ofdma]
-//              [--no-eoi] [--no-copo] [--plain-copo] [--mappo]
-//              [--seed S] [--quiet] [--version]
+//   agsc_serve --snapshot FILE | --snapshot-dir DIR [flags]
+//                         (`agsc_serve --help` lists every flag)
 //
 // Boots a DispatchServer over `--sessions` concurrent episode sessions
 // (env replicas on split RNG streams), loads the newest valid checkpoint
 // as the initial policy snapshot, and drives `--clients` request threads
 // that step their sessions through the batched inference path until
 // `--requests` steps each (0 = unbounded), `--duration-sec` elapses, or a
-// signal arrives. The env/arch flags must match the run that produced the
+// signal arrives. The env/arch flags are the same flag group agsc_train
+// declares (tools/cli_common) and must match the run that produced the
 // checkpoints — a fingerprint mismatch is rejected like any corrupted file.
 //
 // Snapshot promotion: with --watch, a background watcher polls
@@ -69,23 +59,22 @@
 #include <filesystem>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <fstream>
-
 #include "core/dispatch_server.h"
 #include "core/hi_madrl.h"
 #include "core/policy_snapshot.h"
 #include "core/serve_protocol.h"
-#include "nn/tensor.h"
+#include "tools/cli_common.h"
 #include "util/build_info.h"
 #include "util/exit_codes.h"
 #include "util/fault_inject.h"
+#include "util/flags.h"
 #include "util/net.h"
-#include "util/parse.h"
 #include "util/retry.h"
 #include "util/shutdown.h"
 
@@ -105,253 +94,56 @@ struct Args {
   int listen_sndbuf = 0;
   int max_pipeline = 256;
   int sessions = 4;
-  int clients = 0;  ///< 0 = one per session (none with --listen).
-  bool clients_set = false;
+  int clients = 0;  ///< Used only when given: one per session by default.
   int requests = 64;
   int duration_sec = 0;
   std::string stats_json;
   std::string listen;
   std::string port_file;
-
-  std::string campus = "purdue";
-  int timeslots = 100;
-  int pois = 100;
-  int uavs = 2;
-  int ugvs = 2;
-  int subchannels = 3;
-  double height = 60.0;
-  double threshold_db = 0.0;
-  std::string medium = "noma";
-  bool env_channel_scalar = false;
-  bool env_fast_math = false;
-  bool use_eoi = true;
-  bool use_copo = true;
-  bool hetero_copo = true;
-  bool mappo = false;
-  uint64_t seed = 1;
+  agsc::tools::EnvArchFlags env;
   bool quiet = false;
-  bool help = false;
-  bool version = false;
 };
 
-bool ParseArgs(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << name << "\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto next_int = [&](const char* name, int lo, int hi, int* out) {
-      const char* v = next(name);
-      if (!v) return false;
-      if (!agsc::util::ParseIntInRange(v, lo, hi, out)) {
-        std::cerr << "invalid value for " << name << ": '" << v
-                  << "' (expected integer in [" << lo << ", " << hi
-                  << "])\n";
-        return false;
-      }
-      return true;
-    };
-    auto next_double = [&](const char* name, double lo, double hi,
-                           double* out) {
-      const char* v = next(name);
-      if (!v) return false;
-      if (!agsc::util::ParseDoubleInRange(v, lo, hi, out)) {
-        std::cerr << "invalid value for " << name << ": '" << v
-                  << "' (expected number in [" << lo << ", " << hi << "])\n";
-        return false;
-      }
-      return true;
-    };
-    constexpr int kMaxInt = 1000000000;
-    if (flag == "--snapshot") {
-      const char* v = next("--snapshot");
-      if (!v) return false;
-      args.snapshot_path = v;
-    } else if (flag == "--snapshot-dir") {
-      const char* v = next("--snapshot-dir");
-      if (!v) return false;
-      args.snapshot_dir = v;
-    } else if (flag == "--watch") {
-      args.watch = true;
-    } else if (flag == "--watch-poll-ms") {
-      if (!next_int("--watch-poll-ms", 1, 3600000, &args.watch_poll_ms)) {
-        return false;
-      }
-    } else if (flag == "--max-batch") {
-      if (!next_int("--max-batch", 1, 65536, &args.max_batch)) return false;
-    } else if (flag == "--deadline-ms") {
-      if (!next_int("--deadline-ms", 0, 3600000, &args.deadline_ms)) {
-        return false;
-      }
-    } else if (flag == "--max-queue") {
-      if (!next_int("--max-queue", 0, kMaxInt, &args.max_queue)) return false;
-    } else if (flag == "--per-client-inflight") {
-      if (!next_int("--per-client-inflight", 0, kMaxInt,
-                    &args.per_client_inflight)) {
-        return false;
-      }
-    } else if (flag == "--admission") {
-      if (!next_int("--admission", 0, 1, &args.admission)) return false;
-    } else if (flag == "--write-budget-ms") {
-      if (!next_int("--write-budget-ms", 1, 3600000, &args.write_budget_ms)) {
-        return false;
-      }
-    } else if (flag == "--listen-sndbuf") {
-      if (!next_int("--listen-sndbuf", 0, kMaxInt, &args.listen_sndbuf)) {
-        return false;
-      }
-    } else if (flag == "--max-pipeline") {
-      if (!next_int("--max-pipeline", 1, 65536, &args.max_pipeline)) {
-        return false;
-      }
-    } else if (flag == "--sessions") {
-      if (!next_int("--sessions", 1, 4096, &args.sessions)) return false;
-    } else if (flag == "--clients") {
-      if (!next_int("--clients", 1, 4096, &args.clients)) return false;
-      args.clients_set = true;
-    } else if (flag == "--listen") {
-      const char* v = next("--listen");
-      if (!v) return false;
-      args.listen = v;
-    } else if (flag == "--port-file") {
-      const char* v = next("--port-file");
-      if (!v) return false;
-      args.port_file = v;
-    } else if (flag == "--requests") {
-      if (!next_int("--requests", 0, kMaxInt, &args.requests)) return false;
-    } else if (flag == "--duration-sec") {
-      if (!next_int("--duration-sec", 0, 86400, &args.duration_sec)) {
-        return false;
-      }
-    } else if (flag == "--stats-json") {
-      const char* v = next("--stats-json");
-      if (!v) return false;
-      args.stats_json = v;
-    } else if (flag == "--campus") {
-      const char* v = next("--campus");
-      if (!v) return false;
-      args.campus = v;
-      if (args.campus != "purdue" && args.campus != "ncsu") {
-        std::cerr << "invalid value for --campus: '" << args.campus
-                  << "' (expected purdue|ncsu)\n";
-        return false;
-      }
-    } else if (flag == "--timeslots") {
-      if (!next_int("--timeslots", 1, kMaxInt, &args.timeslots)) return false;
-    } else if (flag == "--pois") {
-      if (!next_int("--pois", 1, kMaxInt, &args.pois)) return false;
-    } else if (flag == "--uavs") {
-      if (!next_int("--uavs", 0, kMaxInt, &args.uavs)) return false;
-    } else if (flag == "--ugvs") {
-      if (!next_int("--ugvs", 0, kMaxInt, &args.ugvs)) return false;
-    } else if (flag == "--subchannels") {
-      if (!next_int("--subchannels", 1, kMaxInt, &args.subchannels)) {
-        return false;
-      }
-    } else if (flag == "--height") {
-      if (!next_double("--height", 1e-6, 1e6, &args.height)) return false;
-    } else if (flag == "--threshold") {
-      if (!next_double("--threshold", -1e6, 1e6, &args.threshold_db)) {
-        return false;
-      }
-    } else if (flag == "--medium") {
-      const char* v = next("--medium");
-      if (!v) return false;
-      args.medium = v;
-      if (args.medium != "noma" && args.medium != "tdma" &&
-          args.medium != "ofdma") {
-        std::cerr << "invalid value for --medium: '" << args.medium
-                  << "' (expected noma|tdma|ofdma)\n";
-        return false;
-      }
-    } else if (flag == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      if (!agsc::util::ParseUint64(v, &args.seed)) {
-        std::cerr << "invalid value for --seed: '" << v
-                  << "' (expected unsigned integer)\n";
-        return false;
-      }
-    } else if (flag == "--env-channel-scalar") {
-      args.env_channel_scalar = true;
-    } else if (flag == "--env-fast-math") {
-      args.env_fast_math = true;
-    } else if (flag == "--no-eoi") {
-      args.use_eoi = false;
-    } else if (flag == "--no-copo") {
-      args.use_copo = false;
-    } else if (flag == "--plain-copo") {
-      args.hetero_copo = false;
-    } else if (flag == "--mappo") {
-      args.mappo = true;
-    } else if (flag == "--quiet") {
-      args.quiet = true;
-    } else if (flag == "--version" || flag == "--build-info") {
-      args.version = true;
-      return true;
-    } else if (flag == "--help" || flag == "-h") {
-      args.help = true;
-      return false;
-    } else {
-      std::cerr << "unknown flag: " << flag << "\n";
-      return false;
-    }
-  }
-  if (args.snapshot_path.empty() && args.snapshot_dir.empty()) {
-    std::cerr << "one of --snapshot or --snapshot-dir is required\n";
-    return false;
-  }
-  if (args.watch && args.snapshot_dir.empty()) {
-    std::cerr << "--watch requires --snapshot-dir\n";
-    return false;
-  }
-  if (args.requests == 0 && args.duration_sec == 0 && args.listen.empty()) {
-    // A listening server is legitimately unbounded (stopped by signal);
-    // a pure local client fleet is not.
-    std::cerr << "unbounded run: give --requests N or --duration-sec S\n";
-    return false;
-  }
-  if (!args.port_file.empty() && args.listen.empty()) {
-    std::cerr << "--port-file requires --listen\n";
-    return false;
-  }
-  return true;
+void RegisterFlags(agsc::util::FlagTable* flags, Args* args) {
+  using agsc::tools::kMaxCount;
+  flags->String("--snapshot", "FILE", &args->snapshot_path);
+  flags->String("--snapshot-dir", "DIR", &args->snapshot_dir);
+  flags->Switch("--watch", &args->watch);
+  flags->Int("--watch-poll-ms", "MS", 1, 3600000, &args->watch_poll_ms);
+  flags->Int("--max-batch", "N", 1, 65536, &args->max_batch);
+  flags->Int("--deadline-ms", "MS", 0, 3600000, &args->deadline_ms);
+  flags->Int("--max-queue", "N", 0, kMaxCount, &args->max_queue);
+  flags->Int("--per-client-inflight", "N", 0, kMaxCount,
+             &args->per_client_inflight);
+  flags->Int("--admission", "0|1", 0, 1, &args->admission);
+  flags->Int("--sessions", "S", 1, 4096, &args->sessions);
+  flags->Int("--clients", "C", 1, 4096, &args->clients);
+  flags->Int("--requests", "N", 0, kMaxCount, &args->requests);
+  flags->Int("--duration-sec", "S", 0, 86400, &args->duration_sec);
+  flags->String("--stats-json", "FILE", &args->stats_json);
+  flags->String("--listen", "HOST:PORT", &args->listen);
+  flags->String("--port-file", "FILE", &args->port_file);
+  flags->Int("--write-budget-ms", "MS", 1, 3600000, &args->write_budget_ms);
+  flags->Int("--listen-sndbuf", "BYTES", 0, kMaxCount, &args->listen_sndbuf);
+  flags->Int("--max-pipeline", "N", 1, 65536, &args->max_pipeline);
+  args->env.Register(flags);
+  flags->Switch("--quiet", &args->quiet);
 }
 
-void PrintUsage(std::ostream& out) {
-  out << "usage: agsc_serve --snapshot FILE | --snapshot-dir DIR [--watch]\n"
-         "  [--watch-poll-ms MS] [--max-batch N] [--deadline-ms MS]\n"
-         "  [--max-queue N] [--per-client-inflight N] [--admission 0|1]\n"
-         "  [--sessions S] [--clients C] [--requests N] [--duration-sec S]\n"
-         "  [--stats-json FILE] [--listen HOST:PORT] [--port-file FILE]\n"
-         "  [--write-budget-ms MS] [--listen-sndbuf BYTES] [--max-pipeline N]\n"
-         "  [--campus purdue|ncsu] [--timeslots T] [--pois I] [--uavs U]\n"
-         "  [--ugvs G] [--subchannels Z] [--height M] [--threshold DB]\n"
-         "  [--medium noma|tdma|ofdma] [--env-channel-scalar]\n"
-         "  [--env-fast-math] [--no-eoi] [--no-copo]\n"
-         "  [--plain-copo] [--mappo] [--seed S] [--quiet] [--version]\n"
-         "exit codes: 0 ok, 2 usage, 3 config, 4 io, 8 signal-stop,\n"
-         "  11 serve-error, 12 net-error\n";
-}
+constexpr char kExitLegend[] =
+    "exit codes: 0 ok, 2 usage, 3 config, 4 io, 8 signal-stop,\n"
+    "  11 serve-error, 12 net-error\n";
 
 /// Checkpoint files in `dir`, newest first by modification time (name as a
 /// deterministic tie-break). Empty when the directory is missing/empty.
 std::vector<std::string> CheckpointsNewestFirst(const std::string& dir) {
   namespace fs = std::filesystem;
-  std::error_code ec;
   std::vector<std::pair<fs::file_time_type, std::string>> found;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("ckpt_", 0) == 0 && name.ends_with(".agsc")) {
-      std::error_code time_ec;
-      const fs::file_time_type mtime = entry.last_write_time(time_ec);
-      found.emplace_back(time_ec ? fs::file_time_type::min() : mtime,
-                         entry.path().string());
-    }
+  for (std::string& path : agsc::core::ListCheckpointFiles(dir)) {
+    std::error_code time_ec;
+    const fs::file_time_type mtime = fs::last_write_time(path, time_ec);
+    found.emplace_back(time_ec ? fs::file_time_type::min() : mtime,
+                       std::move(path));
   }
   std::sort(found.begin(), found.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
@@ -421,57 +213,36 @@ int main(int argc, char** argv) {
   // failures and batch stalls through the environment).
   util::FaultInjector::Instance();
   Args args;
-  if (!ParseArgs(argc, argv, args)) {
-    PrintUsage(args.help ? std::cout : std::cerr);
-    return args.help ? util::kExitOk : util::kExitUsage;
-  }
-  if (args.version) {
-    std::cout << "agsc_serve "
-              << util::BuildInfoString(std::string("gemm-isa=") +
-                                       nn::ActiveGemmIsaName())
-              << "\n";
-    return util::kExitOk;
+  util::FlagTable flags("agsc_serve", kExitLegend);
+  RegisterFlags(&flags, &args);
+  if (const std::optional<int> exit_code = tools::ParseCommandLine(
+          flags, argc, argv, std::cout, [&]() -> std::vector<tools::Rule> {
+            return {
+                {args.snapshot_path.empty() && args.snapshot_dir.empty(),
+                 "one of --snapshot or --snapshot-dir is required"},
+                {args.watch && args.snapshot_dir.empty(),
+                 "--watch requires --snapshot-dir"},
+                // A listening server is legitimately unbounded (stopped by
+                // signal); a pure local client fleet is not.
+                {args.requests == 0 && args.duration_sec == 0 &&
+                     args.listen.empty(),
+                 "unbounded run: give --requests N or --duration-sec S"},
+                {!args.port_file.empty() && args.listen.empty(),
+                 "--port-file requires --listen"},
+            };
+          })) {
+    return *exit_code;
   }
 
-  const map::CampusId campus = args.campus == "ncsu"
-                                   ? map::CampusId::kNcsu
-                                   : map::CampusId::kPurdue;
-  const map::Dataset dataset = map::BuildDataset(campus, args.pois);
-
-  env::EnvConfig env_config;
-  env_config.num_timeslots = args.timeslots;
-  env_config.num_pois = args.pois;
-  env_config.num_uavs = args.uavs;
-  env_config.num_ugvs = args.ugvs;
-  env_config.num_subchannels = args.subchannels;
-  env_config.uav_height = args.height;
-  env_config.sinr_threshold_db = args.threshold_db;
-  if (args.medium == "tdma") {
-    env_config.medium_access = env::MediumAccess::kTdma;
-  } else if (args.medium == "ofdma") {
-    env_config.medium_access = env::MediumAccess::kOfdma;
-  }
-  // Serving steps the env on the request path, so the channel tier flags
-  // apply here too: --env-channel-scalar pins the bit-identical scalar
-  // oracle, --env-fast-math trades libm bit patterns for vectorized
-  // transcendentals (deterministic, bounded error).
-  env_config.use_channel_batch = !args.env_channel_scalar;
-  env_config.env_fast_math = args.env_fast_math;
-  const std::string config_error = env_config.Validate();
-  if (!config_error.empty()) {
-    std::cerr << "invalid configuration: " << config_error << "\n";
-    return util::kExitConfig;
-  }
-  env::ScEnv env(env_config, dataset, args.seed);
+  const map::Dataset dataset = args.env.BuildDataset();
+  const std::optional<env::EnvConfig> env_config = args.env.BuildEnvConfig();
+  if (!env_config) return util::kExitConfig;
+  env::ScEnv env(*env_config, dataset, args.env.seed);
 
   // The staging trainer only exists to materialize networks of the right
   // architecture and load checkpoints into them; it never trains.
   core::TrainConfig train;
-  train.use_eoi = args.use_eoi;
-  train.use_copo = args.use_copo;
-  train.hetero_copo = args.hetero_copo;
-  if (args.mappo) train.base = core::BaseAlgo::kMappo;
-  train.seed = args.seed;
+  args.env.ApplyArchitecture(&train);
   train.verbose = false;
   core::HiMadrlTrainer staging(env, train);
 
@@ -482,7 +253,7 @@ int main(int argc, char** argv) {
   dispatch.max_queue = args.max_queue;
   dispatch.per_client_inflight = args.per_client_inflight;
   dispatch.admission = args.admission != 0;
-  dispatch.seed = args.seed;
+  dispatch.seed = args.env.seed;
   core::DispatchServer server(env, dispatch);
 
   // Initial snapshot: the named file, or the newest loadable file in the
@@ -542,19 +313,9 @@ int main(int argc, char** argv) {
       return util::kExitNetError;
     }
     frontend->Start();
-    if (!args.port_file.empty()) {
-      // Published atomically: pollers must never read partial content.
-      const std::string tmp = args.port_file + ".tmp";
-      std::ofstream out(tmp, std::ios::trunc);
-      out << frontend->bound_port() << "\n";
-      out.close();
-      std::error_code ec;
-      if (!out ||
-          (std::filesystem::rename(tmp, args.port_file, ec), ec)) {
-        std::cerr << "failed to write --port-file " << args.port_file
-                  << "\n";
-        return util::kExitIoError;
-      }
+    if (!args.port_file.empty() &&
+        !tools::PublishPortFile(args.port_file, frontend->bound_port())) {
+      return util::kExitIoError;
     }
     if (!args.quiet) {
       // Also a readiness line — flush past the redirected-stdout buffer.
@@ -600,7 +361,7 @@ int main(int argc, char** argv) {
   // Client fleet: each thread steps its sessions round-robin through the
   // batched dispatch path. This is the simulated request stream; a network
   // frontend would enqueue the same StepSession/Act calls.
-  const int num_clients = args.clients_set
+  const int num_clients = flags.Given("--clients")
                               ? args.clients
                               : (args.listen.empty() ? args.sessions : 0);
   const auto start_time = std::chrono::steady_clock::now();

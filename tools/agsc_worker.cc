@@ -35,7 +35,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,14 +46,14 @@
 #include "env/sc_env.h"
 #include "map/trace.h"
 #include "nn/tensor.h"
-#include "util/build_info.h"
+#include "tools/cli_common.h"
 #include "util/env_flags.h"
 #include "util/exit_codes.h"
 #include "util/fault_inject.h"
+#include "util/flags.h"
 #include "util/ipc.h"
 #include "util/logging.h"
 #include "util/net.h"
-#include "util/parse.h"
 #include "util/retry.h"
 
 namespace {
@@ -63,20 +65,13 @@ using agsc::core::WorkerHello;
 using agsc::core::WorkerInit;
 using agsc::core::WorkerRegister;
 
-void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage: agsc_worker [--worker-id N] [--incarnation N]\n"
-      "       agsc_worker --worker-id N --connect HOST:PORT\n"
-      "                   [--connect-timeout-ms MS] [--connect-retries N]\n"
-      "       agsc_worker --version | --build-info\n"
-      "Rollout worker for agsc_train. Without --connect it speaks the\n"
-      "framed worker protocol on stdin/stdout (spawned by --proc-workers N\n"
-      "and not meant to be run by hand). With --connect it registers its\n"
-      "--worker-id slot with a trainer listening via --listen/\n"
-      "--remote-workers N, and reconnects with bounded backoff if the\n"
-      "connection drops.\n");
-}
+constexpr char kLegend[] =
+    "Rollout worker for agsc_train. Without --connect it speaks the\n"
+    "framed worker protocol on stdin/stdout (spawned by --proc-workers N\n"
+    "and not meant to be run by hand). With --connect it registers its\n"
+    "--worker-id slot with a trainer listening via --listen/\n"
+    "--remote-workers N, and reconnects with bounded backoff if the\n"
+    "connection drops.\n";
 
 /// Streams one episode to the trainer: a record per env step, then the
 /// episode end. KILL_WORKER_NTH counts env steps; CORRUPT_FRAME and
@@ -386,69 +381,16 @@ int main(int argc, char** argv) {
   std::string connect;
   int connect_timeout_ms = 10000;
   int connect_retries = 40;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--version" || arg == "--build-info") {
-      std::printf("agsc_worker %s\n",
-                  agsc::util::BuildInfoString(
-                      std::string("gemm-isa=") + agsc::nn::ActiveGemmIsaName())
-                      .c_str());
-      return agsc::util::kExitOk;
-    }
-    if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return agsc::util::kExitOk;
-    }
-    if (arg == "--worker-id") {
-      const char* v = next();
-      if (v == nullptr ||
-          !agsc::util::ParseIntInRange(v, 0, 1 << 20, &worker_id)) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      continue;
-    }
-    if (arg == "--incarnation") {
-      const char* v = next();
-      if (v == nullptr ||
-          !agsc::util::ParseIntInRange(v, 0, 1 << 20, &incarnation)) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      continue;
-    }
-    if (arg == "--connect") {
-      const char* v = next();
-      if (v == nullptr) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      connect = v;
-      continue;
-    }
-    if (arg == "--connect-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr || !agsc::util::ParseIntInRange(v, 1, 1 << 30,
-                                                       &connect_timeout_ms)) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      continue;
-    }
-    if (arg == "--connect-retries") {
-      const char* v = next();
-      if (v == nullptr ||
-          !agsc::util::ParseIntInRange(v, 1, 1 << 20, &connect_retries)) {
-        PrintUsage();
-        return agsc::util::kExitUsage;
-      }
-      continue;
-    }
-    PrintUsage();
-    return agsc::util::kExitUsage;
+  agsc::util::FlagTable flags("agsc_worker", kLegend);
+  flags.Int("--worker-id", "N", 0, 1 << 20, &worker_id);
+  flags.Int("--incarnation", "N", 0, 1 << 20, &incarnation);
+  flags.String("--connect", "HOST:PORT", &connect);
+  flags.Int("--connect-timeout-ms", "MS", 1, 1 << 30, &connect_timeout_ms);
+  flags.Int("--connect-retries", "N", 1, 1 << 20, &connect_retries);
+  // stdout is the protocol pipe: usage goes to stderr, even for --help.
+  if (const std::optional<int> exit_code =
+          agsc::tools::ParseCommandLine(flags, argc, argv, std::cerr)) {
+    return *exit_code;
   }
   if (connect.empty()) return PipeMain(worker_id, incarnation);
   std::string host;
